@@ -254,8 +254,10 @@ class CounterexampleSpec:
 
     `construction` is one of beta-ejr, ejr-gamma, delta-ejr, strong-jr;
     `epsilon` the small positive perturbation; `beta`, `gamma`, `delta` are
-    only meaningful for their constructions and constrain the matching
-    checker, not the instance itself.
+    only meaningful for their constructions. `beta` shapes the beta-ejr
+    instance: b-block utility beta/k and score cap beta (default 2.0).
+    `gamma` and `delta` leave the instance unchanged and only parametrise
+    the matching checker.
     """
 
     construction: str

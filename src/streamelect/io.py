@@ -47,9 +47,10 @@ def parse_pabulib(text):
     Raises
     ------
     ParseError
-        On a missing section, duplicate project or voter id, a vote naming
-        an unknown project, a non-approval vote_type, or a count that
-        contradicts the metadata. Messages carry the 1-based line number.
+        On a missing section, a row with fewer fields than its section's
+        header, duplicate project or voter id, a vote naming an unknown
+        project, a non-approval vote_type, or a count that contradicts the
+        metadata. Messages carry the 1-based line number.
     """
     meta = {}
     projects = []
@@ -81,6 +82,7 @@ def parse_pabulib(text):
                 if "project_id" not in header:
                     raise ParseError(f"line {lineno}: PROJECTS header lacks project_id")
                 continue
+            _check_width(lineno, fields, header)
             pid = fields[header.index("project_id")]
             if pid in project_set:
                 raise ParseError(f"line {lineno}: duplicate project id {pid!r}")
@@ -93,6 +95,7 @@ def parse_pabulib(text):
                     if needed not in header:
                         raise ParseError(f"line {lineno}: VOTES header lacks {needed}")
                 continue
+            _check_width(lineno, fields, header)
             voter = fields[header.index("voter_id")]
             if voter in votes:
                 raise ParseError(f"line {lineno}: duplicate voter id {voter!r}")
@@ -120,6 +123,13 @@ def parse_pabulib(text):
         if declared != count:
             raise ParseError(f"meta {key}={meta[key]} but file has {count}")
     return PabulibInstance(meta=meta, projects=tuple(projects), votes=votes)
+
+
+def _check_width(lineno, fields, header):
+    if len(fields) < len(header):
+        raise ParseError(
+            f"line {lineno}: expected {len(header)} fields as in the header, found {len(fields)}"
+        )
 
 
 def to_election(instance, k):

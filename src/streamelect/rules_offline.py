@@ -25,18 +25,6 @@ ENUMERATION_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
-class BudgetState:
-    """Per-voter budgets under the shared price-1 convention."""
-
-    budgets: tuple
-    price: float = 1.0
-
-    @classmethod
-    def initial(cls, num_voters, committee_size):
-        return cls((committee_size / num_voters,) * num_voters)
-
-
-@dataclass(frozen=True)
 class MesRound:
     """One purchase: elected candidate, its payment rate, per-voter payments."""
 
@@ -63,30 +51,52 @@ class MesTrace:
 
 
 def _exact_rho(budgets, column, supporters):
-    """Smallest rho with sum_i min(b_i, rho * u_i) = 1, solved segment-wise.
+    """Smallest rho with sum_i min(b_i, rho * u_i) = 1, and its payments.
 
-    Supporters are walked in increasing b_i/u_i order; within a segment the
-    payment sum is linear in rho, so the equation is solved in closed form.
     Assumes the supporters' total budget covers the price up to PAY_EPS.
-    Returns (rho, payments over all voters).
+    Returns (rho, payments over all voters), each supporter paying
+    min(b_i, rho * u_i).
+
+    With supporters in increasing b_i/u_i order, the payment sum is linear
+    in rho between consecutive breakpoints, and the segment starting at
+    sorted position j solves to rho_j = (1 - paid_j) / rest_j, where paid_j
+    is the budget of the j saturated supporters before it and rest_j the
+    utility of the others. The answer is the first rho_j at which supporter
+    j does not saturate (rho_j * u_j <= b_j). If there is none, the total
+    budget is within PAY_EPS below 1 and everyone pays their all, at
+    rho = max b_i/u_i.
+
+    Every rho_j is computed at once, yet each is bit-identical to a walk over
+    the voters one at a time: the stable argsort orders ties by voter index as
+    Python's stable `sorted` does on the same float64 keys; `paid` is a
+    sequential `cumsum` and `rest` a sequential `np.subtract.accumulate` from
+    `uo.sum()`, the pairwise sum over the same contiguous array, so every
+    partial sum is formed by the same operations in the same order. Entries
+    past the answer, which a walk never reaches, may divide by a `rest` that
+    rounded to zero or below; those warnings are silenced.
     """
-    order = sorted(supporters, key=lambda i: budgets[i] / column[i])
-    paid = 0.0
-    util_rest = float(column[order].sum()) if len(order) else 0.0
-    rho = None
-    for i in order:
-        candidate_rho = (1.0 - paid) / util_rest
-        if candidate_rho * column[i] <= budgets[i]:
-            rho = candidate_rho
-            break
-        paid += budgets[i]
-        util_rest -= column[i]
-    if rho is None:
-        # Total budget is within PAY_EPS below 1: everyone pays their all.
-        rho = max(budgets[i] / column[i] for i in order)
+    b = budgets[supporters]
+    u = column[supporters]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = _rho(b, u)
     payments = np.zeros(len(budgets))
-    payments[supporters] = np.minimum(budgets[supporters], rho * column[supporters])
+    payments[supporters] = np.minimum(b, rho * u)
     return rho, payments
+
+
+def _rho(b, u):
+    """The solve of `_exact_rho` on the supporters' budgets `b` and utilities
+    `u`; the caller holds `np.errstate`. Returns rho as a float."""
+    ratio = b / u
+    order = ratio.argsort(kind="stable")
+    bo = b[order]
+    uo = u[order]
+    paid = np.concatenate(([0.0], bo[:-1])).cumsum()
+    rest = np.subtract.accumulate(np.concatenate(([uo.sum()], uo[:-1])))
+    rhos = (1.0 - paid) / rest
+    fits = rhos * uo <= bo
+    j = fits.argmax()
+    return float(rhos[j] if fits[j] else ratio.max())
 
 
 def _equal_shares_engine(utilities, k, overspend):
@@ -105,37 +115,40 @@ def _equal_shares_engine(utilities, k, overspend):
     """
     n, m = utilities.shape
     budgets = np.full(n, k / n)
+    # (candidate, supporters, their utilities) in column order, so that ties
+    # keep the smaller index.
+    pool = []
+    for c in range(m):
+        supporters = np.flatnonzero(utilities[:, c] > 0.0)
+        if supporters.size:
+            pool.append((c, supporters, utilities[supporters, c]))
     rounds = []
     elected = set()
-    while len(elected) < k:
-        best = None  # (tier, rate, candidate, payments)
-        for c in range(m):
-            if c in elected:
-                continue
-            column = utilities[:, c]
-            supporters = np.nonzero(column > 0.0)[0]
-            if supporters.size == 0:
-                continue
-            total = float(budgets[supporters].sum())
-            if total >= 1.0 - PAY_EPS:
-                rho, payments = _exact_rho(budgets, column, supporters)
-                key = (0, rho)
-            elif overspend and total > 0.0:
-                rho = float((budgets[supporters] / column[supporters]).max()) / total
-                payments = np.zeros(n)
-                payments[supporters] = budgets[supporters]
-                key = (1, rho)
-            else:
-                continue
-            if best is None or key < best[0]:
-                best = (key, c, payments)
-        if best is None:
-            break
-        (_, rate), c, payments = best
-        budgets -= payments
-        np.maximum(budgets, 0.0, out=budgets)
-        elected.add(c)
-        rounds.append(MesRound(c, rate, tuple(payments)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(elected) < k:
+            best = None  # ((tier, rate), pool index)
+            for index, (_, supporters, u) in enumerate(pool):
+                b = budgets[supporters]
+                total = float(b.sum())
+                if total >= 1.0 - PAY_EPS:
+                    key = (0, _rho(b, u))
+                elif overspend and total > 0.0:
+                    key = (1, float((b / u).max()) / total)
+                else:
+                    continue
+                if best is None or key < best[0]:
+                    best = (key, index)
+            if best is None:
+                break
+            (tier, rate), index = best
+            c, supporters, u = pool.pop(index)
+            b = budgets[supporters]
+            payments = np.zeros(n)
+            payments[supporters] = np.minimum(b, rate * u) if tier == 0 else b
+            budgets -= payments
+            np.maximum(budgets, 0.0, out=budgets)
+            elected.add(c)
+            rounds.append(MesRound(c, rate, tuple(payments)))
     remaining = [c for c in range(m) if c not in elected]
     remaining.sort(key=lambda c: (-utilities[:, c].sum(), c))
     completion = tuple(remaining[: k - len(elected)])

@@ -48,13 +48,12 @@ class OnlineRuleConfig:
 
 @dataclass
 class RunningSample:
-    """State of a displacement rule: trusted reference set, current sample,
-    and hires so far. The sample always has exactly |reference| members and
-    hired candidates never re-enter it."""
+    """State of a displacement rule: trusted reference set and current
+    sample. The sample always has exactly |reference| members and hired
+    candidates never re-enter it."""
 
     reference: frozenset
     running: set
-    hired: list
 
     def displace(self, incoming, outgoing):
         self.running.remove(outgoing)
@@ -150,7 +149,7 @@ def _displacement_rule(election, order, config, subset_rule):
             continue
         if state is None:
             reference, _ = subset_rule(election, arrivals[:t] + dummies)
-            state = RunningSample(frozenset(reference), set(reference), members)
+            state = RunningSample(frozenset(reference), set(reference))
         winners, _ = subset_rule(election, tuple(state.running) + (c,))
         (excluded,) = (state.running | {c}) - winners
         if excluded == c:

@@ -86,6 +86,19 @@ class TestParsePabulib:
         with pytest.raises(ParseError, match="line 6.*project_id"):
             parse_pabulib(text)
 
+    @pytest.mark.parametrize(
+        "old, new, lineno",
+        [
+            ("v2;p3", "30", 13),
+            ("project_id;cost\np1;100", "cost;project_id\n1", 7),
+        ],
+        ids=["votes", "projects"],
+    )
+    def test_row_shorter_than_header(self, old, new, lineno):
+        text = MINIMAL.replace(old, new)
+        with pytest.raises(ParseError, match=f"line {lineno}: expected 2 fields.*found 1"):
+            parse_pabulib(text)
+
 
 class TestToElection:
     def test_matrix_layout(self):

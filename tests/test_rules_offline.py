@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from streamelect import (
+    ArrivalOrder,
     Election,
     InstanceTooLargeError,
     bos,
     equal_shares_subset,
+    greedy_budgeting,
     mes,
     nash_optimum_bruteforce,
     nash_welfare,
@@ -22,7 +25,79 @@ from streamelect.rules_offline import PAY_EPS, _exact_rho
 from conftest import random_approval_election, random_cardinal_election, showcase_election
 
 
+def reference_exact_rho(budgets, column, supporters):
+    """The voter-by-voter rho solve that `_exact_rho` replaces, kept as its
+    oracle: supporters sorted by b_i/u_i with Python's stable sort, then
+    walked one segment at a time."""
+    order = sorted(supporters, key=lambda i: budgets[i] / column[i])
+    paid = 0.0
+    util_rest = float(column[order].sum()) if len(order) else 0.0
+    rho = None
+    for i in order:
+        candidate_rho = (1.0 - paid) / util_rest
+        if candidate_rho * column[i] <= budgets[i]:
+            rho = candidate_rho
+            break
+        paid += budgets[i]
+        util_rest -= column[i]
+    if rho is None:
+        # Total budget is within PAY_EPS below 1: everyone pays their all.
+        rho = max(budgets[i] / column[i] for i in order)
+    payments = np.zeros(len(budgets))
+    payments[supporters] = np.minimum(budgets[supporters], rho * column[supporters])
+    return rho, payments
+
+
+UTILITY_VALUES = {
+    "approval": st.sampled_from([0.0, 1.0]),
+    "repeated": st.sampled_from([0.0, 0.5, 2.0]),
+    "cardinal": st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+}
+
+
+@st.composite
+def rho_instances(draw):
+    """(budgets, column, supporters) with zero and tied budgets, 0/1,
+    repeated or arbitrary utilities, and the supporters' budgets rescaled to
+    total at least 1 or just below it (the everyone-pays-all fallback)."""
+    size = draw(st.integers(1, 40))
+    budget = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.4]), st.floats(1e-6, 1.0))
+    budgets = np.array(draw(st.lists(budget, min_size=size, max_size=size)))
+    values = UTILITY_VALUES[draw(st.sampled_from(sorted(UTILITY_VALUES)))]
+    column = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    supporters = np.flatnonzero(column > 0.0)
+    assume(supporters.size > 0)
+    total = budgets[supporters].sum()
+    assume(total > 0.0)
+    just_below_one = st.sampled_from([1 - 1e-12, 1 - 1e-10, 1 - PAY_EPS])
+    scale = draw(st.one_of(st.floats(1.0, 4.0), just_below_one))
+    return budgets * (scale / total), column, supporters
+
+
 class TestExactRho:
+    @given(rho_instances())
+    @example((np.array([1.5]), np.array([3.0]), np.array([0])))
+    @example((np.array([0.3, 1.5, 0.0]), np.array([0.0, 2.5, 0.0]), np.array([1])))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_voter_walk_exactly(self, instance):
+        budgets, column, supporters = instance
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected_rho, expected_payments = reference_exact_rho(budgets, column, supporters)
+        rho, payments = _exact_rho(budgets, column, supporters)
+        assert rho == expected_rho
+        assert np.array_equal(payments, expected_payments)
+
+    def test_rules_warn_nothing_when_rest_rounds_to_zero(self):
+        # Candidate 0's utility sum 1 + 1e-17 rounds to 1, so the remaining
+        # utility after voter 0 is 0: the solve sees 0/0 past its answer.
+        e = Election.from_rows([[1.0, 0.0, 1.0], [1e-17, 1.0, 0.0]], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mes(e)
+            bos(e)
+            greedy_budgeting(e, ArrivalOrder((0, 1, 2)))
+
     def test_single_supporter(self):
         rho, payments = _exact_rho(np.array([1.5]), np.array([3.0]), np.array([0]))
         assert rho == pytest.approx(1.0 / 3.0)
