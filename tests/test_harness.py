@@ -1,6 +1,7 @@
 """Experiment harness: seeding, configs, records, aggregates, theorem checks."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from streamelect import (
     mes,
     parse_config,
     run_experiment,
+    sample,
     verify_thm_mes,
     verify_thm_nash,
+    write_native,
 )
 from streamelect.harness import (
     ALL_RULE_IDS,
@@ -247,6 +250,42 @@ class TestExperiments:
     def test_theorem_experiments_not_runnable_here(self):
         with pytest.raises(ValueError, match="theorem check"):
             run_experiment(ExperimentConfig("thm-mes"))
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+# Native instances of the exp2 golden run. Their file names are fixed because
+# a file's name is part of every instance id in the CSV.
+EXP2_GOLDEN_SPECS = (
+    ("ic.txt", SampleSpec("ic", 12, 24, 3, seed=11, p=0.4)),
+    ("mallows.txt", SampleSpec("mallows", 10, 16, 3, seed=12, phi=0.6)),
+)
+
+
+def golden_config(experiment, directory):
+    """The config behind tests/data/golden_<experiment>.csv; exp2 writes its
+    instances into `directory`."""
+    if experiment == "exp1":
+        return ExperimentConfig("exp1", iterations=1)
+    if experiment == "exp2":
+        paths = []
+        for name, spec in EXP2_GOLDEN_SPECS:
+            path = Path(directory) / name
+            path.write_text(write_native(sample(spec)), encoding="utf-8")
+            paths.append(str(path))
+        return ExperimentConfig("exp2", sources=tuple(paths), iterations=2)
+    if experiment == "exp3":
+        return ExperimentConfig("exp3", instances=12, iterations=2)
+    return ExperimentConfig("exp4", instances=6, iterations=2)
+
+
+@pytest.mark.parametrize("experiment", ("exp1", "exp2", "exp3", "exp4"))
+def test_csv_matches_golden(experiment, tmp_path):
+    """The CSV of each experiment equals the committed golden byte for byte,
+    so a change to any rule, metric, seed or loop order shows here."""
+    records, _, _ = run_experiment(golden_config(experiment, tmp_path))
+    expected = (GOLDEN_DIR / f"golden_{experiment}.csv").read_bytes()
+    assert records_to_csv(records).encode("utf-8") == expected
 
 
 class TestAggregates:
