@@ -29,6 +29,11 @@ class BallotTypeError(ValueError):
     """A checker was given ballots outside its supported type."""
 
 
+def _is_approval(election):
+    """Whether every utility of the election is 0 or 1."""
+    return bool(np.all((election.utilities == 0.0) | (election.utilities == 1.0)))
+
+
 @dataclass(frozen=True)
 class Witness:
     """One violating cohesive group: who, over which candidates, and how far
@@ -139,7 +144,7 @@ def check_ejr_plus_approval(election, committee):
     `alphas` carry the level ell.
     """
     utilities = election.utilities
-    if not np.all((utilities == 0.0) | (utilities == 1.0)):
+    if not _is_approval(election):
         raise BallotTypeError("EJR+ check requires approval (0/1) ballots")
     n, k = election.num_voters, election.committee_size
     members = sorted(committee.members)

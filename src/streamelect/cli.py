@@ -57,7 +57,7 @@ def cmd_run(args):
         order = embedded
     else:
         order = ArrivalOrder.identity(election.num_candidates)
-    config = OnlineRuleConfig(rule=args.rule, exploration=args.exploration)
+    config = OnlineRuleConfig(exploration=args.exploration)
     committee = run_rule(args.rule, election, order, config)
     _print_members(committee)
     if args.trace:

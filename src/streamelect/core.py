@@ -133,8 +133,8 @@ class Committee:
     """A selected candidate set plus a rule-specific audit trail.
 
     For online rules the audit is a tuple of `Decision` entries covering every
-    arrival position exactly once; offline rules may attach their own trace
-    object instead.
+    arrival position exactly once. Offline rules leave it empty: `mes` and
+    `bos` return their `MesTrace` beside the committee instead.
     """
 
     members: frozenset

@@ -10,18 +10,21 @@ separately.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .axioms import check_ejr_plus_approval, check_jr
+from .axioms import _is_approval, check_ejr_plus_approval, check_jr
 from .core import Election, random_order, satisfaction
 from .io import bundled_ballot_files, divisor_committee_size, parse_pabulib, read_native, to_election
-from .metrics import MetricBundle, compute_metrics
+from .metrics import FIELDS, MetricBundle, compute_metrics, relative_to_baseline
 from .rules_offline import mes, nash_optimum_bruteforce, nash_welfare
 from .rules_online import ONLINE_RULE_IDS, OnlineRuleConfig, online_mes, run_rule
 from .samplers import CULTURES, SampleSpec, proportional_quota, sample
@@ -36,11 +39,7 @@ CSV_FIELDS = (
     "seed",
     "k",
     "committee",
-    "average_satisfaction",
-    "exclusion_ratio",
-    "bottom_quartile_mean",
-    "gini",
-    "nash_welfare",
+    *FIELDS,
     "jr_satisfied",
     "ejr_plus_share",
     "ejr_plus_shortfall",
@@ -111,14 +110,17 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings of one experiment run.
+    """Settings of one experiment run, with the experiments that read each.
 
-    `sources` are instance files (ballot files for exp1, native instances
-    for exp2); sampled experiments ignore them. `instances` bounds how many
-    instances a sampled experiment draws, `iterations` how many arrival
-    orders each (instance, k) gets, and `orders` the Monte Carlo size of the
-    theorem checks. `p` is the relaxation level of the equal-shares theorem
-    check.
+    `sources` (exp1, exp2) are instance files: ballot files for exp1, which
+    falls back to the bundled ones, and native instances for exp2. Each of
+    `divisors` (exp1, exp2) gives one committee size. `iterations` and
+    `output` (exp1-exp4) set the arrival orders per (instance, k) and the
+    CSV path; `base_seed` roots every seed. `instances` (exp3, exp4,
+    thm-nash) bounds the sampled instances, `orders` (thm-mes, thm-nash) is
+    the Monte Carlo size, and `p` and `exploration` (thm-mes only) are the
+    relaxation level and the online-mes exploration length: `run_cell` runs
+    every rule with the default floor(m/e), so exp1-exp4 ignore it.
     """
 
     experiment: str
@@ -173,24 +175,6 @@ def derive_seed(base_seed, instance_id, k, iteration):
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
-def evaluate_committee(election, committee, approval):
-    """Metrics plus axiom summaries of one committee on one election."""
-    sat = satisfaction(election, committee)
-    bundle = compute_metrics(sat)
-    jr_ok = check_jr(election, committee).satisfied
-    share = shortfall = witnesses = None
-    if approval:
-        report = check_ejr_plus_approval(election, committee)
-        share = report.violating_voter_share
-        shortfall = report.shortfall
-        witnesses = len({w.candidates[0] for w in report.witnesses})
-    return bundle, jr_ok, share, shortfall, witnesses
-
-
-def _is_approval(election):
-    return bool(np.all((election.utilities == 0.0) | (election.utilities == 1.0)))
-
-
 def run_cell(instance_id, election, seed, spec=None):
     """Evaluate all online rules plus the offline baseline on one arrival
     order; returns the records in canonical rule order."""
@@ -204,10 +188,14 @@ def run_cell(instance_id, election, seed, spec=None):
         else:
             committee = run_rule(rule_id, election, order)
         duration = time.perf_counter() - start
-        bundle, jr_ok, share, shortfall, witnesses = evaluate_committee(
-            election, committee, approval
-        )
-        deserved = received = None
+        bundle = compute_metrics(satisfaction(election, committee))
+        jr_ok = check_jr(election, committee).satisfied
+        share = shortfall = witnesses = deserved = received = None
+        if approval:
+            report = check_ejr_plus_approval(election, committee)
+            share = report.violating_voter_share
+            shortfall = report.shortfall
+            witnesses = len({w.candidates[0] for w in report.witnesses})
         if spec is not None and spec.culture == "polarized":
             deserved, received = proportional_quota(spec, committee)
         records.append(
@@ -230,109 +218,76 @@ def run_cell(instance_id, election, seed, spec=None):
     return records
 
 
-def _with_committee_size(election, k):
-    return Election(
-        election.num_voters, election.num_candidates, k, election.utilities, election.score_cap
-    )
+def _instances(cfg, skipped):
+    """Yield (instance id, election, spec or None) for every instance of an
+    evaluation experiment, in CSV order.
 
-
-def _load_sources(cfg, parser):
-    """Yield (name, payload) for configured sources, or the bundled ballot
-    files when none are configured (exp1 only)."""
-    if cfg.sources:
-        for path in cfg.sources:
-            with open(path, encoding="utf-8") as handle:
-                yield os.path.basename(path), parser(handle.read())
-    elif parser is parse_pabulib:
-        for name, text in bundled_ballot_files():
-            yield name, parser(text)
+    exp1 reads ballot files (the bundled ones when no source is configured)
+    and exp2 native instances; both take k from each divisor in turn and
+    record in `skipped` the divisors that give none. exp3 walks its culture
+    grid and exp4 draws polarized parameters from one Philox stream; both
+    yield the spec they sampled from.
+    """
+    if cfg.experiment in ("exp1", "exp2"):
+        if cfg.sources:
+            files = (
+                (os.path.basename(path), Path(path).read_text(encoding="utf-8"))
+                for path in cfg.sources
+            )
+        elif cfg.experiment == "exp1":
+            files = bundled_ballot_files()
+        else:
+            raise ValueError("this experiment needs source= lines")
+        for name, text in files:
+            if cfg.experiment == "exp1":
+                instance = parse_pabulib(text)
+                m = len(instance.projects)
+            else:
+                election, _order = read_native(text)
+                m = election.num_candidates
+            for divisor in cfg.divisors:
+                try:
+                    k = divisor_committee_size(m, divisor)
+                except ValueError as exc:
+                    skipped.append(f"{name} divisor {divisor}: {exc}")
+                    continue
+                if cfg.experiment == "exp1":
+                    scoped = to_election(instance, k)
+                else:
+                    scoped = dataclasses.replace(election, committee_size=k)
+                yield f"{name}/m{divisor}", scoped, None
+    elif cfg.experiment == "exp3":
+        cultures = ("ic", "mallows", "normalized-mallows")
+        cells = list(itertools.product(cultures, EXP3_PARAMS, EXP3_VOTERS, EXP3_PAIRS))
+        for index, (culture, value, n, (m, k)) in enumerate(cells[: cfg.instances]):
+            params = {"p": value} if culture == "ic" else {"phi": value}
+            spec = SampleSpec(
+                culture=culture,
+                num_voters=n,
+                num_candidates=m,
+                committee_size=k,
+                seed=derive_seed(cfg.base_seed, f"exp3-{index}", k, 0),
+                **params,
+            )
+            yield spec.instance_id(), sample(spec), spec
     else:
-        raise ValueError("this experiment needs source= lines")
-
-
-def _records_exp1(cfg, skipped):
-    records = []
-    for name, instance in _load_sources(cfg, parse_pabulib):
-        m = len(instance.projects)
-        for divisor in cfg.divisors:
-            try:
-                k = divisor_committee_size(m, divisor)
-            except ValueError as exc:
-                skipped.append(f"{name} divisor {divisor}: {exc}")
-                continue
-            election = to_election(instance, k)
-            instance_id = f"{name}/m{divisor}"
-            for iteration in range(1, cfg.iterations + 1):
-                seed = derive_seed(cfg.base_seed, instance_id, k, iteration)
-                records.extend(run_cell(instance_id, election, seed))
-    return records
-
-
-def _records_exp2(cfg, skipped):
-    records = []
-    for name, (election, _order) in _load_sources(cfg, read_native):
-        for divisor in cfg.divisors:
-            try:
-                k = divisor_committee_size(election.num_candidates, divisor)
-            except ValueError as exc:
-                skipped.append(f"{name} divisor {divisor}: {exc}")
-                continue
-            scoped = _with_committee_size(election, k)
-            instance_id = f"{name}/m{divisor}"
-            for iteration in range(1, cfg.iterations + 1):
-                seed = derive_seed(cfg.base_seed, instance_id, k, iteration)
-                records.extend(run_cell(instance_id, scoped, seed))
-    return records
-
-
-def _records_exp3(cfg, skipped):
-    records = []
-    cells = []
-    for culture in ("ic", "mallows", "normalized-mallows"):
-        for value in EXP3_PARAMS:
-            for n in EXP3_VOTERS:
-                for m, k in EXP3_PAIRS:
-                    cells.append((culture, value, n, m, k))
-    for index, (culture, value, n, m, k) in enumerate(cells[: cfg.instances]):
-        params = {"p": value} if culture == "ic" else {"phi": value}
-        spec = SampleSpec(
-            culture=culture,
-            num_voters=n,
-            num_candidates=m,
-            committee_size=k,
-            seed=derive_seed(cfg.base_seed, f"exp3-{index}", k, 0),
-            **params,
-        )
-        election = sample(spec)
-        for iteration in range(1, cfg.iterations + 1):
-            seed = derive_seed(cfg.base_seed, spec.instance_id(), k, iteration)
-            records.extend(run_cell(spec.instance_id(), election, seed, spec=spec))
-    return records
-
-
-def _records_exp4(cfg, skipped):
-    records = []
-    rng = np.random.Generator(np.random.Philox(key=derive_seed(cfg.base_seed, "exp4", 0, 0)))
-    for index in range(cfg.instances):
-        n = int(rng.integers(EXP4_VOTERS[0], EXP4_VOTERS[1] + 1))
-        m = int(rng.integers(EXP4_CANDIDATES[0], EXP4_CANDIDATES[1] + 1))
-        k = int(rng.integers(2, m // 2 + 1))
-        x = float(rng.uniform(*EXP4_SHARE))
-        q = float(rng.uniform(*EXP4_RATE))
-        spec = SampleSpec(
-            culture="polarized",
-            num_voters=n,
-            num_candidates=m,
-            committee_size=k,
-            seed=derive_seed(cfg.base_seed, f"exp4-{index}", k, 0),
-            x=x,
-            q=q,
-        )
-        election = sample(spec)
-        for iteration in range(1, cfg.iterations + 1):
-            seed = derive_seed(cfg.base_seed, spec.instance_id(), k, iteration)
-            records.extend(run_cell(spec.instance_id(), election, seed, spec=spec))
-    return records
+        rng = np.random.Generator(np.random.Philox(key=derive_seed(cfg.base_seed, "exp4", 0, 0)))
+        for index in range(cfg.instances):
+            n = int(rng.integers(EXP4_VOTERS[0], EXP4_VOTERS[1] + 1))
+            m = int(rng.integers(EXP4_CANDIDATES[0], EXP4_CANDIDATES[1] + 1))
+            k = int(rng.integers(2, m // 2 + 1))
+            x = float(rng.uniform(*EXP4_SHARE))
+            q = float(rng.uniform(*EXP4_RATE))
+            spec = SampleSpec(
+                culture="polarized",
+                num_voters=n,
+                num_candidates=m,
+                committee_size=k,
+                seed=derive_seed(cfg.base_seed, f"exp4-{index}", k, 0),
+                x=x,
+                q=q,
+            )
+            yield spec.instance_id(), sample(spec), spec
 
 
 def aggregate_exp1(records):
@@ -419,16 +374,14 @@ def aggregate_relative(records):
         base = baselines.get((record.instance, record.seed))
         if base is None:
             continue
-        culture = _culture_of(record.instance)
-        key = (culture, record.rule)
+        relative = relative_to_baseline(record.metrics, base)
+        key = (_culture_of(record.instance), record.rule)
         entry = sums.setdefault(key, {"n": 0, "avg": 0.0, "quart": 0.0, "gini": 0.0, "excl": 0.0})
         entry["n"] += 1
-        entry["avg"] += _safe_ratio(record.metrics.average_satisfaction, base.average_satisfaction)
-        entry["quart"] += _safe_ratio(
-            record.metrics.bottom_quartile_mean, base.bottom_quartile_mean
-        )
-        entry["gini"] += record.metrics.gini - base.gini
-        entry["excl"] += record.metrics.exclusion_ratio - base.exclusion_ratio
+        entry["avg"] += relative.average_satisfaction
+        entry["quart"] += relative.bottom_quartile_mean
+        entry["gini"] += relative.gini
+        entry["excl"] += relative.exclusion_ratio
     rows = []
     for (culture, rule), entry in sorted(sums.items()):
         n = entry["n"]
@@ -451,12 +404,6 @@ def _culture_of(instance_id):
         if instance_id.startswith(culture + "-"):
             return culture
     return instance_id.split("-")[0]
-
-
-def _safe_ratio(value, base):
-    if base == 0.0:
-        return 1.0 if value == 0.0 else float("inf")
-    return value / base
 
 
 def aggregate_exp4(records):
@@ -491,6 +438,15 @@ def records_to_csv(records):
     return "\n".join(lines) + "\n"
 
 
+# Aggregate tables of each evaluation experiment, by table name.
+AGGREGATES = {
+    "exp1": {"ejr_plus": aggregate_exp1, "best_counts": aggregate_best_counts},
+    "exp2": {"best_counts": aggregate_best_counts},
+    "exp3": {"relative": aggregate_relative},
+    "exp4": {"quota": aggregate_exp4},
+}
+
+
 def run_experiment(cfg):
     """Run one experiment end to end.
 
@@ -501,21 +457,15 @@ def run_experiment(cfg):
         tables keyed by table name; skipped: human-readable skip reasons.
         The CSV is written to cfg.output when set.
     """
-    skipped = []
-    if cfg.experiment == "exp1":
-        records = _records_exp1(cfg, skipped)
-        aggregates = {"ejr_plus": aggregate_exp1(records), "best_counts": aggregate_best_counts(records)}
-    elif cfg.experiment == "exp2":
-        records = _records_exp2(cfg, skipped)
-        aggregates = {"best_counts": aggregate_best_counts(records)}
-    elif cfg.experiment == "exp3":
-        records = _records_exp3(cfg, skipped)
-        aggregates = {"relative": aggregate_relative(records)}
-    elif cfg.experiment == "exp4":
-        records = _records_exp4(cfg, skipped)
-        aggregates = {"quota": aggregate_exp4(records)}
-    else:
+    if cfg.experiment not in AGGREGATES:
         raise ValueError(f"{cfg.experiment} is a theorem check; use its verify function")
+    skipped = []
+    records = []
+    for instance_id, election, spec in _instances(cfg, skipped):
+        for iteration in range(1, cfg.iterations + 1):
+            seed = derive_seed(cfg.base_seed, instance_id, election.committee_size, iteration)
+            records.extend(run_cell(instance_id, election, seed, spec=spec))
+    aggregates = {name: table(records) for name, table in AGGREGATES[cfg.experiment].items()}
     aggregates["timing"] = _aggregate_timing(records)
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as handle:
@@ -580,7 +530,7 @@ def verify_thm_mes(cfg):
     orders = cfg.orders
     hire_counts = {c: 0 for c in winners}
     joint_count = 0
-    config = OnlineRuleConfig(rule="online-mes", exploration=cfg.exploration)
+    config = OnlineRuleConfig(exploration=cfg.exploration)
     for iteration in range(1, orders + 1):
         seed = derive_seed(cfg.base_seed, "thm-mes", k, iteration)
         order = random_order(election.num_candidates, seed)

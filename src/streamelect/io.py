@@ -189,6 +189,8 @@ def read_native(text):
         cap = float(parts[3]) if len(parts) == 4 else None
     except ValueError:
         raise ParseError(f"line {lineno}: malformed header {head!r}") from None
+    if n < 1 or m < 1:
+        raise ParseError(f"line {lineno}: counts must be positive, got n={n}, m={m}")
     body = entries[1:]
     order = None
     if body and body[0][1].startswith("order:"):
@@ -212,9 +214,11 @@ def read_native(text):
             matrix[i] = [float(f) for f in fields]
         except ValueError:
             raise ParseError(f"line {lineno}: malformed number") from None
-    if np.any(matrix < 0):
-        bad = int(np.nonzero((matrix < 0).any(axis=1))[0][0])
-        raise ParseError(f"line {body[bad][0]}: negative utility")
+    checks = ((matrix < 0, "negative utility"), (~np.isfinite(matrix), "non-finite utility"))
+    for invalid, problem in checks:
+        if invalid.any():
+            bad = int(np.nonzero(invalid.any(axis=1))[0][0])
+            raise ParseError(f"line {body[bad][0]}: {problem}")
     try:
         election = Election(n, m, k, matrix, score_cap=cap)
     except ValueError as exc:

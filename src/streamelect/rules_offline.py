@@ -174,6 +174,8 @@ def bounded_overspending_subset(election, candidates):
 
 
 def _subset_run(election, candidates, overspend):
+    """The engine behind mes, bos and both subset rules, on the columns
+    `candidates` in ascending id order (ids from num_candidates are zero)."""
     cols = sorted(candidates)
     m = election.num_candidates
     matrix = np.column_stack(
@@ -204,11 +206,10 @@ def mes(election):
     Returns
     -------
     (Committee, MesTrace)
+        The trace comes beside the committee; the committee's audit is empty.
     """
-    rounds, completion = _equal_shares_engine(election.utilities, election.committee_size, False)
-    members = frozenset(r.candidate for r in rounds) | set(completion)
-    trace = MesTrace(rounds, completion)
-    return Committee(members, audit=(trace,)), trace
+    members, trace = _subset_run(election, range(election.num_candidates), overspend=False)
+    return Committee(members), trace
 
 
 def bos(election):
@@ -224,11 +225,10 @@ def bos(election):
     Returns
     -------
     (Committee, MesTrace)
+        As for `mes`, the committee's audit is empty.
     """
-    rounds, completion = _equal_shares_engine(election.utilities, election.committee_size, True)
-    members = frozenset(r.candidate for r in rounds) | set(completion)
-    trace = MesTrace(rounds, completion)
-    return Committee(members, audit=(trace,)), trace
+    members, trace = _subset_run(election, range(election.num_candidates), overspend=True)
+    return Committee(members), trace
 
 
 def utilitarian_topk(election):

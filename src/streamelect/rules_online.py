@@ -32,7 +32,6 @@ class OnlineRuleConfig:
     probability of each reference winner). It must stay below m.
     """
 
-    rule: str = "online-mes"
     exploration: int | None = None
 
     def resolve_exploration(self, num_candidates):
@@ -44,23 +43,6 @@ class OnlineRuleConfig:
                 f"exploration length must lie in [0, m), got t={t} for m={num_candidates}"
             )
         return t
-
-
-@dataclass
-class RunningSample:
-    """State of a displacement rule: trusted reference set and current
-    sample. The sample always has exactly |reference| members and hired
-    candidates never re-enter it."""
-
-    reference: frozenset
-    running: set
-
-    def displace(self, incoming, outgoing):
-        self.running.remove(outgoing)
-        self.running.add(incoming)
-
-    def snapshot(self):
-        return tuple(sorted(self.running))
 
 
 def greedy_budgeting(election, order):
@@ -124,18 +106,20 @@ def _displacement_rule(election, order, config, subset_rule):
     If c itself is excluded it is rejected and nothing changes. Otherwise c
     takes the excluded candidate's slot in the sample, and is hired exactly
     when the displaced candidate still belonged to the reference committee.
+    The sample always has exactly |reference| members, and hired candidates
+    never re-enter it.
     """
     m = election.num_candidates
     k = election.committee_size
-    t = config.resolve_exploration(m)
+    t = (config or OnlineRuleConfig()).resolve_exploration(m)
     arrivals = order.permutation
     dummies = tuple(range(m, m + max(0, k - t)))
     members = []
     audit = []
-    state = None
+    reference = running = None
     in_safeguard = False
     for position, c, _column in stream(election, order):
-        snap = state.snapshot() if state is not None else None
+        snap = tuple(sorted(running)) if running is not None else None
         if len(members) == k:
             audit.append(Decision(position, c, False, "committee-full", sample=snap))
             continue
@@ -147,36 +131,36 @@ def _displacement_rule(election, order, config, subset_rule):
         if position <= t:
             audit.append(Decision(position, c, False, "exploration"))
             continue
-        if state is None:
+        if running is None:
             reference, _ = subset_rule(election, arrivals[:t] + dummies)
-            state = RunningSample(frozenset(reference), set(reference))
-        winners, _ = subset_rule(election, tuple(state.running) + (c,))
-        (excluded,) = (state.running | {c}) - winners
+            running = set(reference)
+        winners, _ = subset_rule(election, tuple(running) + (c,))
+        (excluded,) = (running | {c}) - winners
         if excluded == c:
-            audit.append(Decision(position, c, False, "self-excluded", sample=state.snapshot()))
+            snap = tuple(sorted(running))
+            audit.append(Decision(position, c, False, "self-excluded", sample=snap))
             continue
-        hired = excluded in state.reference
+        hired = excluded in reference
         if hired:
             members.append(c)
             reason = "displaced-reference"
         else:
             reason = "displaced-running"
-        state.displace(c, excluded)
-        audit.append(Decision(position, c, hired, reason, sample=state.snapshot()))
+        running.remove(excluded)
+        running.add(c)
+        audit.append(Decision(position, c, hired, reason, sample=tuple(sorted(running))))
     return Committee(frozenset(members), tuple(audit))
 
 
 def online_mes(election, order, config=None):
     """Online method of equal shares: displacement against an equal-shares
     reference committee built from the exploration phase."""
-    config = config or OnlineRuleConfig(rule="online-mes")
     return _displacement_rule(election, order, config, equal_shares_subset)
 
 
 def online_bos(election, order, config=None):
     """Online bounded overspending: the displacement scheme with the
     overspending-capable subroutine for both reference and comparisons."""
-    config = config or OnlineRuleConfig(rule="online-bos")
     return _displacement_rule(election, order, config, bounded_overspending_subset)
 
 

@@ -24,19 +24,19 @@ IDENTITY6 = ArrivalOrder.identity(6)
 
 class TestConfig:
     def test_default_exploration_is_m_over_e(self):
-        cfg = OnlineRuleConfig(rule="online-mes")
+        cfg = OnlineRuleConfig()
         assert cfg.resolve_exploration(6) == 2
         assert cfg.resolve_exploration(40) == int(40 / math.e)
 
     def test_explicit_exploration(self):
-        cfg = OnlineRuleConfig(rule="online-mes", exploration=4)
+        cfg = OnlineRuleConfig(exploration=4)
         assert cfg.resolve_exploration(10) == 4
 
     def test_exploration_bounds(self):
         with pytest.raises(ValueError):
-            OnlineRuleConfig(rule="online-mes", exploration=-1).resolve_exploration(10)
+            OnlineRuleConfig(exploration=-1).resolve_exploration(10)
         with pytest.raises(ValueError):
-            OnlineRuleConfig(rule="online-mes", exploration=10).resolve_exploration(10)
+            OnlineRuleConfig(exploration=10).resolve_exploration(10)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
@@ -121,12 +121,12 @@ class TestDisplacement:
                 assert len(decision.sample) == showcase.committee_size
 
     def test_zero_exploration_allowed(self, showcase):
-        cfg = OnlineRuleConfig(rule="online-mes", exploration=0)
+        cfg = OnlineRuleConfig(exploration=0)
         committee = online_mes(showcase, IDENTITY6, cfg)
         assert len(committee.members) == 3
 
     def test_max_exploration_fills_by_safeguard(self, showcase):
-        cfg = OnlineRuleConfig(rule="online-mes", exploration=3)
+        cfg = OnlineRuleConfig(exploration=3)
         committee = online_mes(showcase, IDENTITY6, cfg)
         assert committee.sorted_members() == (3, 4, 5)
         assert {d.reason for d in committee.audit[3:]} == {"safeguard"}
