@@ -137,8 +137,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment: {self.experiment!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        for name in ("iterations", "instances", "orders"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 def parse_config(text):

@@ -204,7 +204,10 @@ def read_native(text):
             raise ParseError(f"line {lineno}: order lists {len(order)} of {m} candidates")
         body = body[1:]
     if len(body) != n:
-        raise ParseError(f"expected {n} utility rows, found {len(body)}")
+        # A short body is missing the row after its last line; a long one
+        # names its first extra row.
+        lineno = body[n][0] if len(body) > n else entries[-1][0] + 1
+        raise ParseError(f"line {lineno}: expected {n} utility rows, found {len(body)}")
     matrix = np.zeros((n, m))
     for i, (lineno, line) in enumerate(body):
         fields = line.split(";")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,98 +99,127 @@ def _rho(b, u):
     return float(rhos[j] if fits[j] else ratio.max())
 
 
-def _equal_shares_engine(utilities, k, overspend):
-    """Round loop shared by mes and bos on an arbitrary utility matrix.
+@dataclass
+class _PathLevel:
+    """One round of a winner path: the budgets before the round, the key
+    solved there for each candidate seen so far (None when unelectable), and
+    once a call elects someone here, its round and the budgets after it."""
+
+    budgets: np.ndarray
+    keys: dict = field(default_factory=dict)
+    round: MesRound | None = None
+    after: np.ndarray | None = None
+
+
+def _round_key(b, u, overspend):
+    """Ranking key of a candidate whose supporters hold budgets `b` and have
+    utilities `u`: (0, rho) when affordable, (1, scaled rate) when only
+    `overspend` can buy it, None when it cannot be elected this round."""
+    total = float(b.sum())
+    if total >= 1.0 - PAY_EPS:
+        return (0, _rho(b, u))
+    if overspend and total > 0.0:
+        return (1, float((b / u).max()) / total)
+    return None
+
+
+def _equal_shares_engine(election, cols, overspend, path=None):
+    """Round loop shared by mes, bos and both subset rules, on the columns
+    `cols` (ascending ids) of an election; ids from num_candidates upward
+    stand for zero-utility dummies.
 
     Candidates are electable while affordable (their supporters can jointly
     cover the unit price); with `overspend`, a candidate whose supporters
     cannot cover the price may still be bought by those supporters emptying
     their budgets, ranked by scaled rate (max_i b_i/u_i) / (total budget).
     Affordable candidates always take precedence over overspending ones, and
-    ties break toward the smaller column index, so the run coincides with
-    plain equal shares whenever every selected candidate is affordable.
+    ties break toward the smaller id, so the run coincides with plain equal
+    shares whenever every selected candidate is affordable. Completion fills
+    up to k members by descending column sum, ties toward the smaller id, so
+    dummies (zero sum, largest ids) only enter there, after every real
+    candidate.
 
-    Returns (rounds, completion) where completion fills up to k members by
-    descending column sum, ties toward the smaller index.
+    `path` lets consecutive calls on one election reuse each other's rounds.
+    Level r caches the budgets before round r, the key solved there for
+    every candidate seen by any call, and the winner elected there with its
+    `MesRound` and the budgets after. The budgets before round r depend only
+    on the winners of rounds 0..r-1, and a candidate's key only on those
+    budgets and its own column, so a call reads level r as long as its
+    winners agree with the path's, and solves only the keys the level lacks.
+    A reused value is the output of the same computation on the same inputs,
+    hence exact. Where the winner differs, the deeper levels are dropped, so
+    the path holds at most one level per round, k in all. The keys depend on
+    `overspend` and the budgets on the election, so one path must not be
+    shared across elections or engines. Without a path, every call starts
+    from fresh k/n budgets.
+
+    Returns (members, MesTrace) in the id space of `cols`.
     """
-    n, m = utilities.shape
-    budgets = np.full(n, k / n)
-    # (candidate, supporters, their utilities) in column order, so that ties
-    # keep the smaller index.
+    n, m, k = election.num_voters, election.num_candidates, election.committee_size
+    utilities = election.utilities
+    if path is None:
+        path = []
+    # (candidate, supporters, their utilities) in ascending id order, so that
+    # ties keep the smaller id.
     pool = []
-    for c in range(m):
-        supporters = np.flatnonzero(utilities[:, c] > 0.0)
-        if supporters.size:
-            pool.append((c, supporters, utilities[supporters, c]))
+    for c in cols:
+        if c < m:
+            supporters = np.flatnonzero(utilities[:, c] > 0.0)
+            if supporters.size:
+                pool.append((c, supporters, utilities[supporters, c]))
     rounds = []
-    elected = set()
     with np.errstate(divide="ignore", invalid="ignore"):
-        while len(elected) < k:
+        while len(rounds) < k:
+            r = len(rounds)
+            if r == len(path):
+                path.append(_PathLevel(path[-1].after if path else np.full(n, k / n)))
+            level = path[r]
+            budgets, keys = level.budgets, level.keys
             best = None  # ((tier, rate), pool index)
-            for index, (_, supporters, u) in enumerate(pool):
-                b = budgets[supporters]
-                total = float(b.sum())
-                if total >= 1.0 - PAY_EPS:
-                    key = (0, _rho(b, u))
-                elif overspend and total > 0.0:
-                    key = (1, float((b / u).max()) / total)
+            for index, (c, supporters, u) in enumerate(pool):
+                if c in keys:
+                    key = keys[c]
                 else:
-                    continue
-                if best is None or key < best[0]:
+                    key = keys[c] = _round_key(budgets[supporters], u, overspend)
+                if key is not None and (best is None or key < best[0]):
                     best = (key, index)
             if best is None:
                 break
             (tier, rate), index = best
             c, supporters, u = pool.pop(index)
-            b = budgets[supporters]
-            payments = np.zeros(n)
-            payments[supporters] = np.minimum(b, rate * u) if tier == 0 else b
-            budgets -= payments
-            np.maximum(budgets, 0.0, out=budgets)
-            elected.add(c)
-            rounds.append(MesRound(c, rate, tuple(payments)))
-    remaining = [c for c in range(m) if c not in elected]
-    remaining.sort(key=lambda c: (-utilities[:, c].sum(), c))
-    completion = tuple(remaining[: k - len(elected)])
-    return tuple(rounds), completion
+            if level.round is None or level.round.candidate != c:
+                del path[r + 1 :]
+                b = budgets[supporters]
+                payments = np.zeros(n)
+                payments[supporters] = np.minimum(b, rate * u) if tier == 0 else b
+                level.after = np.maximum(budgets - payments, 0.0)
+                level.round = MesRound(c, rate, tuple(payments))
+            rounds.append(level.round)
+    elected = {r.candidate for r in rounds}
+    remaining = [c for c in cols if c not in elected]
+    remaining.sort(key=lambda c: (-utilities[:, c].sum() if c < m else 0.0, c))
+    completion = tuple(remaining[: k - len(rounds)])
+    return frozenset(elected | set(completion)), MesTrace(tuple(rounds), completion)
 
 
-def equal_shares_subset(election, candidates):
+def equal_shares_subset(election, candidates, path=None):
     """Run the equal-shares engine on a candidate subset of an election.
 
     `candidates` are original indices plus optional dummy sentinels: any id
     at or beyond num_candidates stands for a zero-utility dummy. Columns are
-    arranged in ascending id order so index tie-breaking matches the full
+    taken in ascending id order, so index tie-breaking matches the full
     election and dummies (largest ids, zero total utility) can only enter via
-    completion, after every real candidate. Returns (members, trace) in the
-    caller's id space.
+    completion, after every real candidate. `path`, a list the caller keeps
+    between calls on this election and engine, lets each call resume the
+    previous one's rounds (see `_equal_shares_engine`). Returns (members,
+    trace) in the caller's id space.
     """
-    return _subset_run(election, candidates, overspend=False)
+    return _equal_shares_engine(election, sorted(candidates), False, path)
 
 
-def bounded_overspending_subset(election, candidates):
+def bounded_overspending_subset(election, candidates, path=None):
     """As equal_shares_subset, with the bounded-overspending engine."""
-    return _subset_run(election, candidates, overspend=True)
-
-
-def _subset_run(election, candidates, overspend):
-    """The engine behind mes, bos and both subset rules, on the columns
-    `candidates` in ascending id order (ids from num_candidates are zero)."""
-    cols = sorted(candidates)
-    m = election.num_candidates
-    matrix = np.column_stack(
-        [
-            election.utilities[:, c] if c < m else np.zeros(election.num_voters)
-            for c in cols
-        ]
-    )
-    rounds, completion = _equal_shares_engine(matrix, election.committee_size, overspend)
-    members = frozenset(cols[r.candidate] for r in rounds) | {cols[j] for j in completion}
-    trace = MesTrace(
-        tuple(MesRound(cols[r.candidate], r.rho, r.payments) for r in rounds),
-        tuple(cols[j] for j in completion),
-    )
-    return members, trace
+    return _equal_shares_engine(election, sorted(candidates), True, path)
 
 
 def mes(election):
@@ -208,7 +237,7 @@ def mes(election):
     (Committee, MesTrace)
         The trace comes beside the committee; the committee's audit is empty.
     """
-    members, trace = _subset_run(election, range(election.num_candidates), overspend=False)
+    members, trace = _equal_shares_engine(election, range(election.num_candidates), False)
     return Committee(members), trace
 
 
@@ -227,7 +256,7 @@ def bos(election):
     (Committee, MesTrace)
         As for `mes`, the committee's audit is empty.
     """
-    members, trace = _subset_run(election, range(election.num_candidates), overspend=True)
+    members, trace = _equal_shares_engine(election, range(election.num_candidates), True)
     return Committee(members), trace
 
 

@@ -108,6 +108,14 @@ def _displacement_rule(election, order, config, subset_rule):
     when the displaced candidate still belonged to the reference committee.
     The sample always has exactly |reference| members, and hired candidates
     never re-enter it.
+
+    All subset calls of one run, the reference call included, share one
+    winner path (see `rules_offline._equal_shares_engine`), which caches each
+    round's budgets, solved keys and winner. Consecutive calls share all but
+    one column, so each resumes the previous call's rounds while its winners
+    agree and solves only the keys not yet seen. Reuse is exact: a cached
+    value is the output of the same computation on the same budgets. A path
+    belongs to one election and one subset rule, so it lives for one run.
     """
     m = election.num_candidates
     k = election.committee_size
@@ -118,6 +126,7 @@ def _displacement_rule(election, order, config, subset_rule):
     audit = []
     reference = running = None
     in_safeguard = False
+    path = []
     for position, c, _column in stream(election, order):
         snap = tuple(sorted(running)) if running is not None else None
         if len(members) == k:
@@ -132,9 +141,9 @@ def _displacement_rule(election, order, config, subset_rule):
             audit.append(Decision(position, c, False, "exploration"))
             continue
         if running is None:
-            reference, _ = subset_rule(election, arrivals[:t] + dummies)
+            reference, _ = subset_rule(election, arrivals[:t] + dummies, path)
             running = set(reference)
-        winners, _ = subset_rule(election, tuple(running) + (c,))
+        winners, _ = subset_rule(election, tuple(running) + (c,), path)
         (excluded,) = (running | {c}) - winners
         if excluded == c:
             snap = tuple(sorted(running))

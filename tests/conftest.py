@@ -1,7 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from streamelect import Election
+
+# On CI, draw the same examples on every run and print the reproduction blob
+# of a failing one, so that a CI failure replays locally under the same
+# profile (CI=1) or with @reproduce_failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 SHOWCASE_ROWS = (
     (0.0, 1.0, 2.0, 0.0, 0.0, 0.0),

@@ -93,6 +93,8 @@ class TestParseConfig:
             ("experiment=exp1\njust a line\n", "expected key=value"),
             ("experiment=exp9\n", "unknown experiment"),
             ("experiment=exp1\niterations=0\n", "iterations"),
+            ("experiment=exp4\ninstances=-3\n", "instances must be at least 1"),
+            ("experiment=thm-nash\norders=0\n", "orders must be at least 1"),
         ],
     )
     def test_rejects(self, text, match):

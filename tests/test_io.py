@@ -158,7 +158,8 @@ class TestNativeFormat:
             ("a b c\n1;1\n", "malformed header"),
             ("2 3 2\norder: 1 2\n1;0;0\n0;1;1\n", "order lists 2 of 3"),
             ("2 3 2\norder: 1 x 3\n1;0;0\n0;1;1\n", "bad order"),
-            ("2 3 2\n1;0;0\n", "expected 2 utility rows, found 1"),
+            ("2 3 2\n1;0;0\n", "line 3: expected 2 utility rows, found 1"),
+            ("2 3 2\n1;0;0\n0;1;1\n\n1;1;1\n", "line 5: expected 2 utility rows, found 3"),
             ("2 3 2\n1;0\n0;1;1\n", "line 2: expected 3 values, found 2"),
             ("2 3 2\n1;0;zap\n0;1;1\n", "line 2: malformed number"),
             ("2 3 2\n1;0;0\n0;-1;1\n", "line 3: negative utility"),

@@ -11,6 +11,7 @@ from streamelect import (
     Election,
     InstanceTooLargeError,
     bos,
+    bounded_overspending_subset,
     equal_shares_subset,
     greedy_budgeting,
     mes,
@@ -304,3 +305,42 @@ class TestSubsetRestriction:
         members, _ = equal_shares_subset(showcase, (0, 1, 2, 3))
         assert members <= {0, 1, 2, 3}
         assert len(members) == 3
+
+
+@st.composite
+def subset_replays(draw):
+    """An approval or cardinal election and a sequence of candidate subsets
+    over its ids plus k dummy ids. Each subset after the first either swaps
+    one id of the previous one, as a displacement step does, or is drawn
+    afresh."""
+    rng = seeded_rng(draw(st.integers(0, 10_000)))
+    sampler = draw(st.sampled_from([random_approval_election, random_cardinal_election]))
+    e = sampler(rng)
+    ids = st.integers(0, e.num_candidates + e.committee_size - 1)
+    subset = draw(st.sets(ids, min_size=1))
+    calls = [subset]
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            out = draw(st.sampled_from(sorted(subset)))
+            subset = (subset - {out}) | {draw(ids)}
+        else:
+            subset = draw(st.sets(ids, min_size=1))
+        calls.append(subset)
+    return e, calls
+
+
+class TestSharedPath:
+    @given(subset_replays(), st.sampled_from([equal_shares_subset, bounded_overspending_subset]))
+    @settings(max_examples=300, deadline=None)
+    def test_replay_matches_fresh_calls(self, replay, rule):
+        e, calls = replay
+        path = []
+        for subset in calls:
+            members, trace = rule(e, subset, path)
+            fresh_members, fresh_trace = rule(e, subset)
+            assert members == fresh_members
+            assert trace.completion_added == fresh_trace.completion_added
+            assert [(r.candidate, r.rho, r.payments) for r in trace.rounds] == [
+                (r.candidate, r.rho, r.payments) for r in fresh_trace.rounds
+            ]
+            assert len(path) <= e.committee_size

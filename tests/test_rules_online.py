@@ -5,12 +5,15 @@ import pytest
 
 from streamelect import (
     ArrivalOrder,
+    Decision,
     Election,
     OnlineRuleConfig,
     greedy_budgeting,
     online_bos,
     online_mes,
     online_nash,
+    bounded_overspending_subset,
+    equal_shares_subset,
     random_order,
     run_rule,
     seeded_rng,
@@ -147,6 +150,63 @@ class TestDisplacement:
         # self-excluded. Samples reflect both outcomes.
         assert by_position[4].hired
         assert 3 in by_position[4].sample
+
+
+def fresh_displacement(election, order, subset_rule, t):
+    """The displacement scheme with every subset call made on its own, so no
+    state passes between calls: the oracle for the rules' shared winner path."""
+    m, k = election.num_candidates, election.committee_size
+    arrivals = order.permutation
+    members, audit = [], []
+    reference = running = None
+    for position, c in enumerate(arrivals, start=1):
+        snap = tuple(sorted(running)) if running is not None else None
+        if len(members) == k:
+            audit.append(Decision(position, c, False, "committee-full", sample=snap))
+        elif m - position + 1 == k - len(members):
+            members.append(c)
+            audit.append(Decision(position, c, True, "safeguard", sample=snap))
+        elif position <= t:
+            audit.append(Decision(position, c, False, "exploration"))
+        else:
+            if running is None:
+                dummies = tuple(range(m, m + max(0, k - t)))
+                reference, _ = subset_rule(election, arrivals[:t] + dummies)
+                running = set(reference)
+            winners, _ = subset_rule(election, tuple(running) + (c,))
+            (excluded,) = (running | {c}) - winners
+            if excluded == c:
+                snap = tuple(sorted(running))
+                audit.append(Decision(position, c, False, "self-excluded", sample=snap))
+                continue
+            hired = excluded in reference
+            if hired:
+                members.append(c)
+            running = (running - {excluded}) | {c}
+            reason = "displaced-reference" if hired else "displaced-running"
+            audit.append(Decision(position, c, hired, reason, sample=tuple(sorted(running))))
+    return frozenset(members), tuple(audit)
+
+
+class TestSharedPathAudits:
+    @pytest.mark.parametrize(
+        "rule, subset_rule",
+        [(online_mes, equal_shares_subset), (online_bos, bounded_overspending_subset)],
+    )
+    def test_matches_fresh_subset_calls(self, rule, subset_rule):
+        rng = seeded_rng(27)
+        for index in range(60):
+            sampler = random_approval_election if index % 2 else random_cardinal_election
+            e = sampler(rng, max_voters=12, max_candidates=14, max_k=5)
+            order = random_order(e.num_candidates, int(rng.integers(0, 10_000)))
+            # Every third run explores fewer than k arrivals, so the
+            # reference call carries dummy ids.
+            t = int(rng.integers(0, e.committee_size)) if index % 3 == 0 else None
+            committee = rule(e, order, OnlineRuleConfig(exploration=t))
+            t = OnlineRuleConfig(exploration=t).resolve_exploration(e.num_candidates)
+            assert (committee.members, committee.audit) == fresh_displacement(
+                e, order, subset_rule, t
+            )
 
 
 class TestOnlineNash:
