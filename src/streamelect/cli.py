@@ -23,7 +23,7 @@ from .axioms import (
 from .core import ArrivalOrder, Committee, random_order
 from .harness import parse_config, run_experiment, verify_thm_mes, verify_thm_nash
 from .io import ParseError, read_native, write_native
-from .rules_online import ONLINE_RULE_IDS, OnlineRuleConfig, run_rule
+from .rules_online import ONLINE_RULE_IDS, run_rule
 from .samplers import CULTURES, SampleSpec, sample
 
 CHECKS = ("jr", "strong-jr", "ejr-plus", "ejr")
@@ -57,8 +57,7 @@ def cmd_run(args):
         order = embedded
     else:
         order = ArrivalOrder.identity(election.num_candidates)
-    config = OnlineRuleConfig(exploration=args.exploration)
-    committee = run_rule(args.rule, election, order, config)
+    committee = run_rule(args.rule, election, order, args.exploration)
     _print_members(committee)
     if args.trace:
         for decision in committee.audit:
@@ -199,7 +198,12 @@ def build_parser():
         "--order",
         help="arrival order: an integer seed, or a 1-based candidate list",
     )
-    p_run.add_argument("--exploration", type=int, default=None)
+    p_run.add_argument(
+        "--exploration",
+        type=int,
+        default=None,
+        help="exploration length t of online-mes and online-bos (default floor(m/e))",
+    )
     p_run.add_argument("--trace", action="store_true", help="print per-arrival decisions")
     p_run.set_defaults(func=cmd_run)
 

@@ -26,7 +26,7 @@ from .core import Election, random_order, satisfaction
 from .io import bundled_ballot_files, divisor_committee_size, parse_pabulib, read_native, to_election
 from .metrics import FIELDS, MetricBundle, compute_metrics, relative_to_baseline
 from .rules_offline import mes, nash_optimum_bruteforce, nash_welfare
-from .rules_online import ONLINE_RULE_IDS, OnlineRuleConfig, online_mes, run_rule
+from .rules_online import ONLINE_RULE_IDS, online_mes, run_rule
 from .samplers import CULTURES, SampleSpec, proportional_quota, sample
 
 EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4", "thm-mes", "thm-nash")
@@ -140,6 +140,8 @@ class ExperimentConfig:
         for name in ("iterations", "instances", "orders"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if any(d < 1 for d in self.divisors):
+            raise ValueError(f"divisors must be at least 1, got {self.divisors}")
 
 
 def parse_config(text):
@@ -158,9 +160,9 @@ def parse_config(text):
         if key == "source":
             sources.append(value)
         elif key == "divisors":
-            divisors = tuple(int(v) for v in value.replace(",", " ").split())
+            divisors = tuple(_config_int(v, lineno) for v in value.replace(",", " ").split())
         elif key in ("iterations", "base_seed", "instances", "orders", "p", "exploration"):
-            values[key] = int(value)
+            values[key] = _config_int(value, lineno)
         elif key in ("experiment", "output"):
             values[key] = value
         else:
@@ -168,6 +170,13 @@ def parse_config(text):
     if "experiment" not in values:
         raise ValueError("config must set experiment=")
     return ExperimentConfig(sources=tuple(sources), divisors=divisors or (20, 4), **values)
+
+
+def _config_int(value, lineno):
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"config line {lineno}: expected an integer, got {value!r}") from None
 
 
 def derive_seed(base_seed, instance_id, k, iteration):
@@ -531,11 +540,10 @@ def verify_thm_mes(cfg):
     orders = cfg.orders
     hire_counts = {c: 0 for c in winners}
     joint_count = 0
-    config = OnlineRuleConfig(exploration=cfg.exploration)
     for iteration in range(1, orders + 1):
         seed = derive_seed(cfg.base_seed, "thm-mes", k, iteration)
         order = random_order(election.num_candidates, seed)
-        members = online_mes(election, order, config).members
+        members = online_mes(election, order, cfg.exploration).members
         hired = [c for c in winners if c in members]
         for c in hired:
             hire_counts[c] += 1

@@ -50,12 +50,11 @@ class MesTrace:
         return frozenset(r.candidate for r in self.rounds)
 
 
-def _exact_rho(budgets, column, supporters):
-    """Smallest rho with sum_i min(b_i, rho * u_i) = 1, and its payments.
-
-    Assumes the supporters' total budget covers the price up to PAY_EPS.
-    Returns (rho, payments over all voters), each supporter paying
-    min(b_i, rho * u_i).
+def _rho(b, u):
+    """Smallest rho with sum_i min(b_i, rho * u_i) = 1 over the supporters'
+    budgets `b` and utilities `u`, as a float; the caller holds
+    `np.errstate` and has checked that the total budget covers the price up
+    to PAY_EPS.
 
     With supporters in increasing b_i/u_i order, the payment sum is linear
     in rho between consecutive breakpoints, and the segment starting at
@@ -73,20 +72,8 @@ def _exact_rho(budgets, column, supporters):
     `uo.sum()`, the pairwise sum over the same contiguous array, so every
     partial sum is formed by the same operations in the same order. Entries
     past the answer, which a walk never reaches, may divide by a `rest` that
-    rounded to zero or below; those warnings are silenced.
+    rounded to zero or below; hence the caller's `np.errstate`.
     """
-    b = budgets[supporters]
-    u = column[supporters]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = _rho(b, u)
-    payments = np.zeros(len(budgets))
-    payments[supporters] = np.minimum(b, rho * u)
-    return rho, payments
-
-
-def _rho(b, u):
-    """The solve of `_exact_rho` on the supporters' budgets `b` and utilities
-    `u`; the caller holds `np.errstate`. Returns rho as a float."""
     ratio = b / u
     order = ratio.argsort(kind="stable")
     bo = b[order]
@@ -121,6 +108,18 @@ def _round_key(b, u, overspend):
     if overspend and total > 0.0:
         return (1, float((b / u).max()) / total)
     return None
+
+
+def _charge(budgets, supporters, u, key):
+    """The purchase at `key` from `_round_key`: each supporter pays
+    min(b_i, rho * u_i) at tier 0, or their whole budget at tier 1 (an
+    overspending purchase). Returns (payments over all voters, budgets
+    after)."""
+    tier, rate = key
+    b = budgets[supporters]
+    payments = np.zeros(len(budgets))
+    payments[supporters] = np.minimum(b, rate * u) if tier == 0 else b
+    return payments, np.maximum(budgets - payments, 0.0)
 
 
 def _equal_shares_engine(election, cols, overspend, path=None):
@@ -185,15 +184,12 @@ def _equal_shares_engine(election, cols, overspend, path=None):
                     best = (key, index)
             if best is None:
                 break
-            (tier, rate), index = best
+            key, index = best
             c, supporters, u = pool.pop(index)
             if level.round is None or level.round.candidate != c:
                 del path[r + 1 :]
-                b = budgets[supporters]
-                payments = np.zeros(n)
-                payments[supporters] = np.minimum(b, rate * u) if tier == 0 else b
-                level.after = np.maximum(budgets - payments, 0.0)
-                level.round = MesRound(c, rate, tuple(payments))
+                payments, level.after = _charge(budgets, supporters, u, key)
+                level.round = MesRound(c, key[1], tuple(payments))
             rounds.append(level.round)
     elected = {r.candidate for r in rounds}
     remaining = [c for c in cols if c not in elected]

@@ -10,39 +10,21 @@ seats, everyone still in the stream is hired.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Committee, Decision, stream
-from .rules_offline import (
-    PAY_EPS,
-    _exact_rho,
-    bounded_overspending_subset,
-    equal_shares_subset,
-)
+from .rules_offline import _charge, _round_key, bounded_overspending_subset, equal_shares_subset
 
 
-@dataclass(frozen=True)
-class OnlineRuleConfig:
-    """Configuration of an online rule run.
-
-    `exploration` is the exploration-phase length t of the displacement rules
-    (None means the default floor(m/e), the length that maximizes the hiring
-    probability of each reference winner). It must stay below m.
-    """
-
-    exploration: int | None = None
-
-    def resolve_exploration(self, num_candidates):
-        t = self.exploration
-        if t is None:
-            t = int(num_candidates / math.e)
-        if not 0 <= t < num_candidates:
-            raise ValueError(
-                f"exploration length must lie in [0, m), got t={t} for m={num_candidates}"
-            )
-        return t
+def _exploration_length(m, exploration):
+    """Exploration-phase length t of the displacement rules: `exploration`,
+    or by default floor(m/e), the length that maximizes the hiring
+    probability of each reference winner. It must lie in [0, m)."""
+    t = int(m / math.e) if exploration is None else exploration
+    if not 0 <= t < m:
+        raise ValueError(f"exploration length must lie in [0, m), got t={t} for m={m}")
+    return t
 
 
 def greedy_budgeting(election, order):
@@ -52,7 +34,8 @@ def greedy_budgeting(election, order):
     supporters (positive utility) jointly hold at least the unit price, which
     they then pay with the equal-or-all split: each supporter pays
     min(b_i, lam) for the lam solving sum min(b_i, lam) = 1. Otherwise the
-    candidate is rejected.
+    candidate is rejected. This is the purchase step of the equal-shares
+    engine (`rules_offline._round_key` and `_charge`) with unit utilities.
 
     Returns
     -------
@@ -62,24 +45,26 @@ def greedy_budgeting(election, order):
     m = election.num_candidates
     k = election.committee_size
     budgets = np.full(n, k / n)
+    # Unit utilities: the first s entries are those of s supporters.
+    ones = np.ones(n)
     members = []
     audit = []
-    in_safeguard = False
-    for position, c, column in stream(election, order):
-        if len(members) == k:
-            audit.append(Decision(position, c, False, "committee-full"))
-            continue
-        if in_safeguard or m - position + 1 == k - len(members):
-            in_safeguard = True
-            members.append(c)
-            audit.append(Decision(position, c, True, "safeguard"))
-            continue
-        supporters = np.nonzero(column > 0.0)[0]
-        total = float(budgets[supporters].sum()) if supporters.size else 0.0
-        if total >= 1.0 - PAY_EPS:
-            _, payments = _exact_rho(budgets, np.ones(n), supporters)
-            budgets -= payments
-            np.maximum(budgets, 0.0, out=budgets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for position, c, column in stream(election, order):
+            if len(members) == k:
+                audit.append(Decision(position, c, False, "committee-full"))
+                continue
+            if m - position + 1 == k - len(members):
+                members.append(c)
+                audit.append(Decision(position, c, True, "safeguard"))
+                continue
+            supporters = np.nonzero(column > 0.0)[0]
+            unit = ones[: supporters.size]
+            key = _round_key(budgets[supporters], unit, False)
+            if key is None:
+                audit.append(Decision(position, c, False, "insufficient-budget"))
+                continue
+            payments, budgets = _charge(budgets, supporters, unit, key)
             members.append(c)
             audit.append(
                 Decision(
@@ -90,12 +75,10 @@ def greedy_budgeting(election, order):
                     payments=tuple((int(i), float(payments[i])) for i in supporters),
                 )
             )
-        else:
-            audit.append(Decision(position, c, False, "insufficient-budget"))
     return Committee(frozenset(members), tuple(audit))
 
 
-def _displacement_rule(election, order, config, subset_rule):
+def _displacement_rule(election, order, exploration, subset_rule):
     """Exploration-then-displacement scheme shared by the equal-shares and
     bounded-overspending online rules.
 
@@ -119,21 +102,19 @@ def _displacement_rule(election, order, config, subset_rule):
     """
     m = election.num_candidates
     k = election.committee_size
-    t = (config or OnlineRuleConfig()).resolve_exploration(m)
+    t = _exploration_length(m, exploration)
     arrivals = order.permutation
     dummies = tuple(range(m, m + max(0, k - t)))
     members = []
     audit = []
     reference = running = None
-    in_safeguard = False
     path = []
     for position, c, _column in stream(election, order):
         snap = tuple(sorted(running)) if running is not None else None
         if len(members) == k:
             audit.append(Decision(position, c, False, "committee-full", sample=snap))
             continue
-        if in_safeguard or m - position + 1 == k - len(members):
-            in_safeguard = True
+        if m - position + 1 == k - len(members):
             members.append(c)
             audit.append(Decision(position, c, True, "safeguard", sample=snap))
             continue
@@ -161,16 +142,17 @@ def _displacement_rule(election, order, config, subset_rule):
     return Committee(frozenset(members), tuple(audit))
 
 
-def online_mes(election, order, config=None):
+def online_mes(election, order, exploration=None):
     """Online method of equal shares: displacement against an equal-shares
-    reference committee built from the exploration phase."""
-    return _displacement_rule(election, order, config, equal_shares_subset)
+    reference committee built from the first `exploration` arrivals
+    (default floor(m/e))."""
+    return _displacement_rule(election, order, exploration, equal_shares_subset)
 
 
-def online_bos(election, order, config=None):
+def online_bos(election, order, exploration=None):
     """Online bounded overspending: the displacement scheme with the
     overspending-capable subroutine for both reference and comparisons."""
-    return _displacement_rule(election, order, config, bounded_overspending_subset)
+    return _displacement_rule(election, order, exploration, bounded_overspending_subset)
 
 
 def online_nash(election, order):
@@ -193,20 +175,19 @@ def online_nash(election, order):
     members = []
     audit = []
     picked_sat = np.zeros(n)
-    start = 0
+    arrivals = stream(election, order)
     for size in sizes:
         observe = int(size / math.e)
         threshold = -math.inf
         picked = None
-        for j in range(size):
-            position = start + j + 1
-            c = order.permutation[start + j]
-            gain = float(np.log1p(picked_sat + election.utilities[:, c]).sum())
+        for j, (position, c, column) in zip(range(size), arrivals):
+            if picked is not None:
+                audit.append(Decision(position, c, False, "segment-filled"))
+                continue
+            gain = float(np.log1p(picked_sat + column).sum())
             if j < observe:
                 threshold = max(threshold, gain)
                 audit.append(Decision(position, c, False, "observation"))
-            elif picked is not None:
-                audit.append(Decision(position, c, False, "segment-filled"))
             elif gain >= threshold:
                 picked = c
                 audit.append(Decision(position, c, True, "above-threshold"))
@@ -217,18 +198,18 @@ def online_nash(election, order):
                 audit.append(Decision(position, c, False, "below-threshold"))
         members.append(picked)
         picked_sat += election.utilities[:, picked]
-        start += size
     return Committee(frozenset(members), tuple(audit))
 
 
-def run_rule(rule_id, election, order, config=None):
-    """Dispatch an online rule by id: greedy, online-mes, online-bos, online-nash."""
+def run_rule(rule_id, election, order, exploration=None):
+    """Dispatch an online rule by id: greedy, online-mes, online-bos, online-nash.
+    `exploration` is passed to online-mes and online-bos; the others ignore it."""
     if rule_id == "greedy":
         return greedy_budgeting(election, order)
     if rule_id == "online-mes":
-        return online_mes(election, order, config)
+        return online_mes(election, order, exploration)
     if rule_id == "online-bos":
-        return online_bos(election, order, config)
+        return online_bos(election, order, exploration)
     if rule_id == "online-nash":
         return online_nash(election, order)
     raise ValueError(f"unknown online rule: {rule_id!r}")

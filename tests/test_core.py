@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import streamelect
 from streamelect import (
     ORDER_GENERATOR,
     ArrivalOrder,
@@ -160,3 +161,7 @@ class TestCommittee:
 
     def test_audit_not_compared(self):
         assert Committee(frozenset({1}), ("x",)) == Committee(frozenset({1}), ("y",))
+
+
+def test_every_public_name_resolves():
+    assert [name for name in streamelect.__all__ if not hasattr(streamelect, name)] == []

@@ -95,6 +95,10 @@ class TestParseConfig:
             ("experiment=exp1\niterations=0\n", "iterations"),
             ("experiment=exp4\ninstances=-3\n", "instances must be at least 1"),
             ("experiment=thm-nash\norders=0\n", "orders must be at least 1"),
+            ("experiment=exp1\ndivisors=0\n", "divisors must be at least 1"),
+            ("experiment=exp2\ndivisors=4, -2\n", "divisors must be at least 1"),
+            ("experiment=exp1\niterations=abc\n", "config line 2: expected an integer, got 'abc'"),
+            ("experiment=exp1\n\ndivisors=4, x\n", "config line 3: expected an integer, got 'x'"),
         ],
     )
     def test_rejects(self, text, match):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from streamelect import (
     ArrivalOrder,
+    Decision,
     Election,
     InstanceTooLargeError,
     bos,
@@ -17,19 +18,20 @@ from streamelect import (
     mes,
     nash_optimum_bruteforce,
     nash_welfare,
+    random_order,
     satisfaction,
     seeded_rng,
     utilitarian_topk,
 )
-from streamelect.rules_offline import PAY_EPS, _exact_rho
+from streamelect.rules_offline import PAY_EPS, _charge, _rho
 
 from conftest import random_approval_election, random_cardinal_election, showcase_election
 
 
 def reference_exact_rho(budgets, column, supporters):
-    """The voter-by-voter rho solve that `_exact_rho` replaces, kept as its
+    """The voter-by-voter rho solve that `_rho` replaces, kept as its
     oracle: supporters sorted by b_i/u_i with Python's stable sort, then
-    walked one segment at a time."""
+    walked one segment at a time. Returns (rho, payments over all voters)."""
     order = sorted(supporters, key=lambda i: budgets[i] / column[i])
     paid = 0.0
     util_rest = float(column[order].sum()) if len(order) else 0.0
@@ -46,6 +48,16 @@ def reference_exact_rho(budgets, column, supporters):
         rho = max(budgets[i] / column[i] for i in order)
     payments = np.zeros(len(budgets))
     payments[supporters] = np.minimum(budgets[supporters], rho * column[supporters])
+    return rho, payments
+
+
+def solve_and_charge(budgets, column, supporters):
+    """`_rho` on the supporters, then the engine's purchase at that rate:
+    (rho, payments over all voters), as `reference_exact_rho` returns."""
+    u = column[supporters]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = _rho(budgets[supporters], u)
+    payments, _ = _charge(budgets, supporters, u, (0, rho))
     return rho, payments
 
 
@@ -85,7 +97,7 @@ class TestExactRho:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             expected_rho, expected_payments = reference_exact_rho(budgets, column, supporters)
-        rho, payments = _exact_rho(budgets, column, supporters)
+        rho, payments = solve_and_charge(budgets, column, supporters)
         assert rho == expected_rho
         assert np.array_equal(payments, expected_payments)
 
@@ -100,13 +112,13 @@ class TestExactRho:
             greedy_budgeting(e, ArrivalOrder((0, 1, 2)))
 
     def test_single_supporter(self):
-        rho, payments = _exact_rho(np.array([1.5]), np.array([3.0]), np.array([0]))
+        rho, payments = solve_and_charge(np.array([1.5]), np.array([3.0]), np.array([0]))
         assert rho == pytest.approx(1.0 / 3.0)
         assert payments[0] == pytest.approx(1.0)
 
     def test_two_supporters_unsaturated(self):
         # min(1, 2 rho) + min(0.5, rho) = 1 solves at rho = 1/3.
-        rho, payments = _exact_rho(
+        rho, payments = solve_and_charge(
             np.array([1.0, 0.5]), np.array([2.0, 1.0]), np.array([0, 1])
         )
         assert rho == pytest.approx(1.0 / 3.0)
@@ -115,7 +127,7 @@ class TestExactRho:
 
     def test_saturation_kicks_in(self):
         # Voter 1 saturates at 0.2, the rest falls on voter 0.
-        rho, payments = _exact_rho(
+        rho, payments = solve_and_charge(
             np.array([2.0, 0.2]), np.array([1.0, 1.0]), np.array([0, 1])
         )
         assert rho == pytest.approx(0.8)
@@ -123,7 +135,7 @@ class TestExactRho:
         assert payments[1] == pytest.approx(0.2)
 
     def test_exactly_affordable_at_full_budgets(self):
-        rho, payments = _exact_rho(
+        rho, payments = solve_and_charge(
             np.array([0.5, 0.5]), np.array([1.0, 1.0]), np.array([0, 1])
         )
         assert rho == pytest.approx(0.5)
@@ -132,10 +144,50 @@ class TestExactRho:
     def test_full_budget_fallback_under_eps_shortfall(self):
         # Total budget 1 - 1e-10: everyone pays their whole budget.
         budgets = np.array([0.5, 0.5 - 1e-10])
-        rho, payments = _exact_rho(budgets, np.array([1.0, 1.0]), np.array([0, 1]))
+        rho, payments = solve_and_charge(budgets, np.array([1.0, 1.0]), np.array([0, 1]))
         assert rho == pytest.approx(0.5)
         assert payments[0] == pytest.approx(0.5)
         assert payments[1] == pytest.approx(0.5)
+
+
+def reference_greedy(election, order):
+    """Greedy budgeting written out on its own, charging each hire with the
+    voter walk at unit utilities: the oracle for greedy's use of the
+    engine's purchase step. Returns (members, audit)."""
+    n, m, k = election.num_voters, election.num_candidates, election.committee_size
+    budgets = np.full(n, k / n)
+    members, audit = [], []
+    for position, c in enumerate(order.permutation, start=1):
+        if len(members) == k:
+            audit.append(Decision(position, c, False, "committee-full"))
+        elif m - position + 1 == k - len(members):
+            members.append(c)
+            audit.append(Decision(position, c, True, "safeguard"))
+        else:
+            supporters = np.flatnonzero(election.utilities[:, c] > 0.0)
+            if supporters.size and budgets[supporters].sum() >= 1.0 - PAY_EPS:
+                _, payments = reference_exact_rho(budgets, np.ones(n), supporters)
+                budgets = np.maximum(budgets - payments, 0.0)
+                members.append(c)
+                paid = tuple((int(i), float(payments[i])) for i in supporters)
+                audit.append(Decision(position, c, True, "affordable", payments=paid))
+            else:
+                audit.append(Decision(position, c, False, "insufficient-budget"))
+    return frozenset(members), tuple(audit)
+
+
+class TestGreedyPurchase:
+    @given(
+        seed=st.integers(0, 10_000),
+        sampler=st.sampled_from([random_approval_election, random_cardinal_election]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_voter_walk_purchases(self, seed, sampler):
+        rng = seeded_rng(seed)
+        e = sampler(rng, max_voters=30, max_candidates=12, max_k=6)
+        order = random_order(e.num_candidates, int(rng.integers(0, 10_000)))
+        committee = greedy_budgeting(e, order)
+        assert (committee.members, committee.audit) == reference_greedy(e, order)
 
 
 class TestMes:

@@ -7,7 +7,6 @@ from streamelect import (
     ArrivalOrder,
     Decision,
     Election,
-    OnlineRuleConfig,
     greedy_budgeting,
     online_bos,
     online_mes,
@@ -18,7 +17,7 @@ from streamelect import (
     run_rule,
     seeded_rng,
 )
-from streamelect.rules_online import ONLINE_RULE_IDS
+from streamelect.rules_online import ONLINE_RULE_IDS, _exploration_length
 
 from conftest import random_approval_election, random_cardinal_election, showcase_election
 
@@ -27,19 +26,17 @@ IDENTITY6 = ArrivalOrder.identity(6)
 
 class TestConfig:
     def test_default_exploration_is_m_over_e(self):
-        cfg = OnlineRuleConfig()
-        assert cfg.resolve_exploration(6) == 2
-        assert cfg.resolve_exploration(40) == int(40 / math.e)
+        assert _exploration_length(6, None) == 2
+        assert _exploration_length(40, None) == int(40 / math.e)
 
     def test_explicit_exploration(self):
-        cfg = OnlineRuleConfig(exploration=4)
-        assert cfg.resolve_exploration(10) == 4
+        assert _exploration_length(10, 4) == 4
 
     def test_exploration_bounds(self):
         with pytest.raises(ValueError):
-            OnlineRuleConfig(exploration=-1).resolve_exploration(10)
+            _exploration_length(10, -1)
         with pytest.raises(ValueError):
-            OnlineRuleConfig(exploration=10).resolve_exploration(10)
+            _exploration_length(10, 10)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
@@ -124,13 +121,11 @@ class TestDisplacement:
                 assert len(decision.sample) == showcase.committee_size
 
     def test_zero_exploration_allowed(self, showcase):
-        cfg = OnlineRuleConfig(exploration=0)
-        committee = online_mes(showcase, IDENTITY6, cfg)
+        committee = online_mes(showcase, IDENTITY6, 0)
         assert len(committee.members) == 3
 
     def test_max_exploration_fills_by_safeguard(self, showcase):
-        cfg = OnlineRuleConfig(exploration=3)
-        committee = online_mes(showcase, IDENTITY6, cfg)
+        committee = online_mes(showcase, IDENTITY6, 3)
         assert committee.sorted_members() == (3, 4, 5)
         assert {d.reason for d in committee.audit[3:]} == {"safeguard"}
 
@@ -202,8 +197,8 @@ class TestSharedPathAudits:
             # Every third run explores fewer than k arrivals, so the
             # reference call carries dummy ids.
             t = int(rng.integers(0, e.committee_size)) if index % 3 == 0 else None
-            committee = rule(e, order, OnlineRuleConfig(exploration=t))
-            t = OnlineRuleConfig(exploration=t).resolve_exploration(e.num_candidates)
+            committee = rule(e, order, t)
+            t = _exploration_length(e.num_candidates, t)
             assert (committee.members, committee.audit) == fresh_displacement(
                 e, order, subset_rule, t
             )
@@ -251,6 +246,16 @@ class TestOnlineNash:
 
 
 class TestFeasibilityEverywhere:
+    @pytest.mark.parametrize("rule", ONLINE_RULE_IDS)
+    @pytest.mark.parametrize(
+        "order",
+        [ArrivalOrder.identity(7), ArrivalOrder((6, 0, 1, 2, 3, 4, 5)), ArrivalOrder.identity(5)],
+        ids=["identity7", "rotated7", "identity5"],
+    )
+    def test_rejects_order_of_wrong_length(self, rule, order):
+        with pytest.raises(ValueError, match=f"order has length {len(order)}"):
+            run_rule(rule, showcase_election(), order)
+
     @pytest.mark.parametrize("rule", ONLINE_RULE_IDS)
     def test_exactly_k_members(self, rule):
         rng = seeded_rng(25)
