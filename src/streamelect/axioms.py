@@ -86,7 +86,7 @@ def check_jr(election, committee):
     the recorded requirement is the group's smallest positive value for the
     candidate (the largest cohesive threshold).
     """
-    sat = satisfaction(election, committee).as_array()
+    sat = satisfaction(election, committee)
     n, k = election.num_voters, election.committee_size
     unserved = sat == 0.0
     witnesses = []
@@ -111,7 +111,7 @@ def check_strong_jr(election, committee):
     alpha, if n/k voters value c at least alpha, one of them must reach
     satisfaction alpha. Every distinct positive utility in c's column is
     tried as alpha."""
-    sat = satisfaction(election, committee).as_array()
+    sat = satisfaction(election, committee)
     n, k = election.num_voters, election.committee_size
     witnesses = []
     for c in range(election.num_candidates):
@@ -147,10 +147,7 @@ def check_ejr_plus_approval(election, committee):
     if not _is_approval(election):
         raise BallotTypeError("EJR+ check requires approval (0/1) ballots")
     n, k = election.num_voters, election.committee_size
-    members = sorted(committee.members)
-    approved_winners = (
-        utilities[:, members].sum(axis=1) if members else np.zeros(n)
-    )
+    approved_winners = satisfaction(election, committee)
     witnesses = []
     deficits = np.zeros(n)
     for c in range(election.num_candidates):
@@ -202,7 +199,7 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
             f"brute-force EJR enumerates 2^n groups; n={n} exceeds the cap of {cap}"
         )
     utilities = election.utilities
-    sat = satisfaction(election, committee).as_array()
+    sat = satisfaction(election, committee)
     achieved = sat.copy()
     if gamma is not None and gamma > 0:
         outside = np.asarray(

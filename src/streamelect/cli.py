@@ -66,14 +66,17 @@ def cmd_run(args):
     return 0
 
 
-def _committee_from_arg(value):
-    ids = frozenset(int(t) - 1 for t in value.replace(",", " ").split())
-    return Committee(ids)
+def _committee_from_arg(value, num_candidates):
+    ids = [int(t) for t in value.replace(",", " ").split()]
+    for c in ids:
+        if not 1 <= c <= num_candidates:
+            raise ValueError(f"candidate {c} out of range 1..{num_candidates}")
+    return Committee(frozenset(c - 1 for c in ids))
 
 
 def cmd_check(args):
     election, _ = _read_instance(args.instance)
-    committee = _committee_from_arg(args.committee)
+    committee = _committee_from_arg(args.committee, election.num_candidates)
     if args.axiom == "jr":
         report = check_jr(election, committee)
     elif args.axiom == "strong-jr":
@@ -99,16 +102,18 @@ def cmd_check(args):
     return 0 if report.satisfied else 1
 
 
+def _emit(text, output, what):
+    """Write `text` to the file `output`, or to stdout when none is given."""
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"wrote {what} to {output}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def cmd_sample(args):
-    params = {}
-    if args.p is not None:
-        params["p"] = args.p
-    if args.phi is not None:
-        params["phi"] = args.phi
-    if args.x is not None:
-        params["x"] = args.x
-    if args.q is not None:
-        params["q"] = args.q
     spec = SampleSpec(
         culture=args.culture,
         num_voters=args.voters,
@@ -116,17 +121,12 @@ def cmd_sample(args):
         committee_size=args.committee,
         seed=args.seed,
         noise=not args.no_noise,
-        **params,
+        p=args.p,
+        phi=args.phi,
+        x=args.x,
+        q=args.q,
     )
-    election = sample(spec)
-    text = write_native(election)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {spec.instance_id()} to {args.output}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(write_native(sample(spec)), args.output, spec.instance_id())
 
 
 def cmd_experiment(args):
@@ -174,14 +174,7 @@ def cmd_counterexample(args):
         delta=args.delta,
     )
     election, order = make_counterexample(spec)
-    text = write_native(election, order)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.construction} instance to {args.output}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(write_native(election, order), args.output, f"{args.construction} instance")
 
 
 def build_parser():

@@ -147,22 +147,6 @@ class Committee:
         return tuple(sorted(self.members))
 
 
-@dataclass(frozen=True)
-class SatisfactionVector:
-    """Per-voter additive utilities of a committee: values[i] = u_i(W)."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def __len__(self):
-        return len(self.values)
-
-    def as_array(self):
-        return np.asarray(self.values, dtype=np.float64)
-
-
 def satisfaction(election, committee):
     """Per-voter satisfaction u_i(W) = sum of utilities over committee members.
 
@@ -173,7 +157,9 @@ def satisfaction(election, committee):
 
     Returns
     -------
-    SatisfactionVector
+    numpy.ndarray
+        A fresh float64 array of shape (n,): the sum over the members' columns
+        in ascending id order, zeros for an empty committee.
     """
     members = committee.members if isinstance(committee, Committee) else frozenset(committee)
     if len(members) > election.committee_size:
@@ -184,9 +170,8 @@ def satisfaction(election, committee):
         if not 0 <= c < election.num_candidates:
             raise InvalidCommitteeError(f"candidate index {c} out of range")
     if not members:
-        return SatisfactionVector((0.0,) * election.num_voters)
-    cols = sorted(members)
-    return SatisfactionVector(tuple(election.utilities[:, cols].sum(axis=1)))
+        return np.zeros(election.num_voters)
+    return election.utilities[:, sorted(members)].sum(axis=1)
 
 
 def stream(election, order):

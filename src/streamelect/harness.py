@@ -492,17 +492,17 @@ def _aggregate_timing(records):
     return rows
 
 
-def single_approval_election(num_candidates=40, committee_size=3, supporters_per_winner=None):
-    """A single-approval election whose offline equal-shares outcome is the
-    first k candidates: each gets exactly n/k supporters (so each is exactly
-    affordable), every other candidate gets none."""
-    k = committee_size
-    per = supporters_per_winner or 10
+def single_approval_election():
+    """A single-approval election with m=40 and k=3 whose offline
+    equal-shares outcome is the first k candidates: each gets exactly n/k = 10
+    supporters (so each is exactly affordable), every other candidate gets
+    none."""
+    m, k, per = 40, 3, 10
     n = per * k
-    matrix = np.zeros((n, num_candidates))
+    matrix = np.zeros((n, m))
     for c in range(k):
         matrix[per * c : per * (c + 1), c] = 1.0
-    return Election(n, num_candidates, k, matrix)
+    return Election(n, m, k, matrix)
 
 
 @dataclass(frozen=True)

@@ -105,10 +105,8 @@ def parse_pabulib(text):
                 if pid not in project_set:
                     raise ParseError(f"line {lineno}: vote names unknown project {pid!r}")
             votes[voter] = approved
-    for name in SECTIONS:
-        if (name == "META" and not meta) or (name == "PROJECTS" and not projects) or (
-            name == "VOTES" and not votes
-        ):
+    for name, content in zip(SECTIONS, (meta, projects, votes)):
+        if not content:
             raise ParseError(f"missing or empty section {name}")
     vote_type = meta.get("vote_type", "approval")
     if vote_type != "approval":

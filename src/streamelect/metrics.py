@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,16 +24,10 @@ class MetricBundle:
     nash_welfare: float
 
     def as_row(self):
-        return (
-            self.average_satisfaction,
-            self.exclusion_ratio,
-            self.bottom_quartile_mean,
-            self.gini,
-            self.nash_welfare,
-        )
+        return tuple(getattr(self, name) for name in FIELDS)
 
 
-FIELDS = ("average_satisfaction", "exclusion_ratio", "bottom_quartile_mean", "gini", "nash_welfare")
+FIELDS = tuple(f.name for f in fields(MetricBundle))
 
 
 def compute_metrics(sat):
@@ -45,9 +39,9 @@ def compute_metrics(sat):
 
     Parameters
     ----------
-    sat : SatisfactionVector or array-like of per-voter satisfactions
+    sat : array-like of per-voter satisfactions
     """
-    values = sat.as_array() if hasattr(sat, "as_array") else np.asarray(sat, dtype=np.float64)
+    values = np.asarray(sat, dtype=np.float64)
     n = values.size
     if n < 1:
         raise ValueError("need at least one voter")

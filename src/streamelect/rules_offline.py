@@ -163,7 +163,7 @@ def _equal_shares_engine(election, cols, overspend, path=None):
     pool = []
     for c in cols:
         if c < m:
-            supporters = np.flatnonzero(utilities[:, c] > 0.0)
+            supporters = np.nonzero(utilities[:, c] > 0.0)[0]
             if supporters.size:
                 pool.append((c, supporters, utilities[supporters, c]))
     rounds = []
@@ -265,16 +265,16 @@ def utilitarian_topk(election):
 
 def nash_welfare(election, committee):
     """Nash welfare of a committee: sum_i log(1 + u_i(W)), natural log."""
-    sat = satisfaction(election, committee).as_array()
+    sat = satisfaction(election, committee)
     return float(np.log1p(sat).sum())
 
 
-def nash_optimum_bruteforce(election, cap=ENUMERATION_CAP):
+def nash_optimum_bruteforce(election):
     """Exhaustive Nash-welfare maximizer over all size-k committees.
 
     Enumeration is lexicographic over index combinations and ties keep the
-    lexicographically smallest member set. Instances with more than `cap`
-    combinations are rejected.
+    lexicographically smallest member set. Instances with more than
+    ENUMERATION_CAP combinations are rejected.
 
     Returns
     -------
@@ -282,9 +282,9 @@ def nash_optimum_bruteforce(election, cap=ENUMERATION_CAP):
     """
     m, k = election.num_candidates, election.committee_size
     total = math.comb(m, k)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise InstanceTooLargeError(
-            f"C({m},{k}) = {total} committees exceeds the enumeration cap of {cap}"
+            f"C({m},{k}) = {total} committees exceeds the enumeration cap of {ENUMERATION_CAP}"
         )
     utilities = election.utilities
     best_val = -1.0

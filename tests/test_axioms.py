@@ -10,6 +10,7 @@ from streamelect import (
     CounterexampleSpec,
     Election,
     InstanceTooLargeError,
+    InvalidCommitteeError,
     check_ejr_bruteforce,
     check_ejr_plus_approval,
     check_jr,
@@ -27,6 +28,17 @@ def two_camps():
     return Election.from_rows(
         [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], 2
     )
+
+
+@pytest.mark.parametrize(
+    "checker", [check_jr, check_strong_jr, check_ejr_plus_approval, check_ejr_bruteforce]
+)
+@pytest.mark.parametrize(
+    "members", [{0, 3}, {-1}, {0, 1, 2}], ids=["beyond-m", "negative", "k-plus-one"]
+)
+def test_checkers_reject_invalid_committees(checker, members):
+    with pytest.raises(InvalidCommitteeError):
+        checker(two_camps(), Committee(frozenset(members)))
 
 
 class TestJr:
@@ -70,7 +82,7 @@ class TestJr:
         for _ in range(40):
             e = random_approval_election(rng)
             committee = Committee(frozenset(range(e.committee_size)))
-            sat = satisfaction(e, committee).as_array()
+            sat = satisfaction(e, committee)
             naive = True
             for c in range(e.num_candidates):
                 group = [

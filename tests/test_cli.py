@@ -136,6 +136,15 @@ class TestCheck:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axiom", ["jr", "ejr-plus"])
+    @pytest.mark.parametrize("member", ["99", "0"])
+    def test_member_out_of_range_names_typed_id(self, camps_file, capsys, axiom, member):
+        code = main(
+            ["check", axiom, "--instance", camps_file, "--committee", f"1 {member}"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: candidate {member} out of range 1..3\n"
+
     def test_strong_jr(self, instance_file, capsys):
         code = main(
             ["check", "strong-jr", "--instance", instance_file, "--committee", "3 4 6"]

@@ -111,13 +111,16 @@ class TestRandomOrder:
 class TestSatisfaction:
     def test_showcase_values(self, showcase):
         sat = satisfaction(showcase, Committee(frozenset({2, 3, 5})))
-        assert sat.values == (2.0, 6.0)
+        assert sat.dtype == np.float64
+        assert sat.tolist() == [2.0, 6.0]
 
     def test_accepts_iterables(self, showcase):
-        assert satisfaction(showcase, [2, 3, 5]).values == (2.0, 6.0)
+        assert satisfaction(showcase, [2, 3, 5]).tolist() == [2.0, 6.0]
 
     def test_empty_committee(self, showcase):
-        assert satisfaction(showcase, []).values == (0.0, 0.0)
+        sat = satisfaction(showcase, [])
+        assert sat.dtype == np.float64
+        assert sat.tolist() == [0.0, 0.0]
 
     def test_rejects_out_of_range(self, showcase):
         with pytest.raises(InvalidCommitteeError):
@@ -135,7 +138,7 @@ class TestSatisfaction:
         members = sorted(
             int(c) for c in rng.choice(6, size=int(rng.integers(1, 4)), replace=False)
         )
-        sat = satisfaction(e, members).as_array()
+        sat = satisfaction(e, members)
         manual = e.utilities[:, members].sum(axis=1)
         assert np.allclose(sat, manual)
 
