@@ -50,20 +50,26 @@ def parse_pabulib(text):
         On a missing section, a row with fewer fields than its section's
         header, duplicate project or voter id, a vote naming an unknown
         project, a non-approval vote_type, or a count that contradicts the
-        metadata. Messages carry the 1-based line number.
+        metadata. Messages start with the 1-based number of the offending
+        line: for a whole-file problem, the section header or META row at
+        fault, or one past the last line when a section is missing.
     """
+    lines = text.splitlines()
     meta = {}
+    meta_lines = {}
+    section_lines = {}
     projects = []
     project_set = set()
     votes = {}
     section = None
     header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line in SECTIONS:
             section = line
+            section_lines[section] = lineno
             header = None
             continue
         if section is None:
@@ -76,6 +82,7 @@ def parse_pabulib(text):
                 header = fields
                 continue
             meta[fields[0]] = fields[1]
+            meta_lines[fields[0]] = lineno
         elif section == "PROJECTS":
             if header is None:
                 header = fields
@@ -107,19 +114,25 @@ def parse_pabulib(text):
             votes[voter] = approved
     for name, content in zip(SECTIONS, (meta, projects, votes)):
         if not content:
-            raise ParseError(f"missing or empty section {name}")
+            lineno = section_lines.get(name, len(lines) + 1)
+            raise ParseError(f"line {lineno}: missing or empty section {name}")
     vote_type = meta.get("vote_type", "approval")
     if vote_type != "approval":
-        raise ParseError(f"unsupported vote_type {vote_type!r}; only approval ballots are handled")
+        raise ParseError(
+            f"line {meta_lines['vote_type']}: unsupported vote_type {vote_type!r};"
+            " only approval ballots are handled"
+        )
     for key, count in (("num_projects", len(projects)), ("num_votes", len(votes))):
         if key not in meta:
             continue
         try:
             declared = int(meta[key])
         except ValueError:
-            raise ParseError(f"meta {key}={meta[key]!r} is not an integer") from None
+            raise ParseError(
+                f"line {meta_lines[key]}: meta {key}={meta[key]!r} is not an integer"
+            ) from None
         if declared != count:
-            raise ParseError(f"meta {key}={meta[key]} but file has {count}")
+            raise ParseError(f"line {meta_lines[key]}: meta {key}={meta[key]} but file has {count}")
     return PabulibInstance(meta=meta, projects=tuple(projects), votes=votes)
 
 
@@ -206,15 +219,18 @@ def read_native(text):
         # names its first extra row.
         lineno = body[n][0] if len(body) > n else entries[-1][0] + 1
         raise ParseError(f"line {lineno}: expected {n} utility rows, found {len(body)}")
-    matrix = np.zeros((n, m))
-    for i, (lineno, line) in enumerate(body):
+    # Rows are checked before the matrix exists, so a header with a huge m
+    # fails on its first short row instead of allocating n x m floats.
+    rows = []
+    for lineno, line in body:
         fields = line.split(";")
         if len(fields) != m:
             raise ParseError(f"line {lineno}: expected {m} values, found {len(fields)}")
         try:
-            matrix[i] = [float(f) for f in fields]
+            rows.append([float(f) for f in fields])
         except ValueError:
             raise ParseError(f"line {lineno}: malformed number") from None
+    matrix = np.array(rows)
     checks = ((matrix < 0, "negative utility"), (~np.isfinite(matrix), "non-finite utility"))
     for invalid, problem in checks:
         if invalid.any():

@@ -86,6 +86,32 @@ def _rho(b, u):
     return float(rhos[j] if fits[j] else ratio.max())
 
 
+def _unit_rho(b):
+    """`_rho(b, ones)` for supporters of a 0/1 column, bit for bit, without
+    its dozen numpy calls: on the small pools of polarized elections those
+    fixed costs, not the arithmetic, dominate the solve.
+
+    At unit utilities b_i/u_i is b_i itself and the utility rest after j
+    saturated supporters is the exact integer s - j, so the walk needs only
+    the sorted budgets. `paid` is summed left to right as `_rho`'s sequential
+    `cumsum` is. Zero budgets of either sign sort as equals, and adding
+    either to `paid` (which starts at +0.0) or comparing against either gives
+    the same bits, so the order among them does not matter. When no segment
+    fits, the last budget walked is the largest, `_rho`'s `ratio.max()`. The
+    caller has checked affordability with numpy's `b.sum()`, whose pairwise
+    order a Python sum would not reproduce from 8 elements up.
+    """
+    rest = b.size
+    paid = 0.0
+    for budget in np.sort(b).tolist():
+        rho = (1.0 - paid) / rest
+        if rho <= budget:
+            return rho
+        paid += budget
+        rest -= 1
+    return budget
+
+
 @dataclass
 class _PathLevel:
     """One round of a winner path: the budgets before the round, the key
@@ -100,29 +126,66 @@ class _PathLevel:
 
 def _round_key(b, u, overspend):
     """Ranking key of a candidate whose supporters hold budgets `b` and have
-    utilities `u`: (0, rho) when affordable, (1, scaled rate) when only
-    `overspend` can buy it, None when it cannot be elected this round."""
+    utilities `u` (None for unit utilities): (0, rho) when affordable, (1,
+    scaled rate) when only `overspend` can buy it, None when it cannot be
+    elected this round. Unit utilities take `_unit_rho`; dividing by an
+    explicit 1.0 would change no bit, so either form gives the same key."""
     total = float(b.sum())
     if total >= 1.0 - PAY_EPS:
-        return (0, _rho(b, u))
+        return (0, _unit_rho(b) if u is None else _rho(b, u))
     if overspend and total > 0.0:
-        return (1, float((b / u).max()) / total)
+        return (1, float((b if u is None else b / u).max()) / total)
     return None
 
 
 def _charge(budgets, supporters, u, key):
     """The purchase at `key` from `_round_key`: each supporter pays
-    min(b_i, rho * u_i) at tier 0, or their whole budget at tier 1 (an
-    overspending purchase). Returns (payments over all voters, budgets
-    after)."""
+    min(b_i, rho * u_i) at tier 0 (u None meaning unit utilities), or their
+    whole budget at tier 1 (an overspending purchase). Returns (payments over
+    all voters, budgets after)."""
     tier, rate = key
     b = budgets[supporters]
     payments = np.zeros(len(budgets))
-    payments[supporters] = np.minimum(b, rate * u) if tier == 0 else b
+    payments[supporters] = np.minimum(b, rate if u is None else rate * u) if tier == 0 else b
     return payments, np.maximum(budgets - payments, 0.0)
 
 
-def _equal_shares_engine(election, cols, overspend, path=None):
+class _EngineCache:
+    """What the engine calls on one election with one engine may share.
+
+    `levels` is the winner path, one `_PathLevel` per round (see
+    `_equal_shares_engine`). `pool` maps each column any call has seen to
+    (supporters, their utilities), with None for the utilities of a 0/1
+    column, so that a column's supporter index is built once per cache and
+    its rho solves take the unit kernel. The first call binds the cache to
+    its election and engine; a call with another raises ValueError, since
+    neither the budgets nor the keys carry over.
+    """
+
+    def __init__(self):
+        self.election = None
+        self.overspend = None
+        self.levels = []
+        self.pool = {}
+
+    def bind(self, election, overspend):
+        if self.election is None:
+            self.election, self.overspend = election, overspend
+        elif self.election is not election or self.overspend != overspend:
+            raise ValueError("an engine cache serves one election and one engine")
+
+    def column(self, c):
+        """The pool entry of column `c`, built on first sight."""
+        entry = self.pool.get(c)
+        if entry is None:
+            column = self.election.utilities[:, c]
+            supporters = np.nonzero(column > 0.0)[0]
+            u = column[supporters]
+            entry = self.pool[c] = (supporters, None if (u == 1.0).all() else u)
+        return entry
+
+
+def _equal_shares_engine(election, cols, overspend, cache=None):
     """Round loop shared by mes, bos and both subset rules, on the columns
     `cols` (ascending ids) of an election; ids from num_candidates upward
     stand for zero-utility dummies.
@@ -138,9 +201,13 @@ def _equal_shares_engine(election, cols, overspend, path=None):
     dummies (zero sum, largest ids) only enter there, after every real
     candidate.
 
-    `path` lets consecutive calls on one election reuse each other's rounds.
-    Level r caches the budgets before round r, the key solved there for
-    every candidate seen by any call, and the winner elected there with its
+    `cache`, an `_EngineCache`, lets consecutive calls on one election and
+    engine reuse each other's work; without one, the call gets a fresh cache
+    of its own. Its pool holds each column's supporters and utilities, built
+    the first time any call sees the column; a 0/1 column solves rho with
+    the exact unit kernel `_unit_rho`. Its winner path holds one level per
+    round: the budgets before round r, the key solved there for every
+    candidate seen by any call, and the winner elected there with its
     `MesRound` and the budgets after. The budgets before round r depend only
     on the winners of rounds 0..r-1, and a candidate's key only on those
     budgets and its own column, so a call reads level r as long as its
@@ -148,24 +215,25 @@ def _equal_shares_engine(election, cols, overspend, path=None):
     A reused value is the output of the same computation on the same inputs,
     hence exact. Where the winner differs, the deeper levels are dropped, so
     the path holds at most one level per round, k in all. The keys depend on
-    `overspend` and the budgets on the election, so one path must not be
-    shared across elections or engines. Without a path, every call starts
-    from fresh k/n budgets.
+    `overspend` and the budgets on the election, so a cache bound to another
+    election or engine raises ValueError.
 
     Returns (members, MesTrace) in the id space of `cols`.
     """
     n, m, k = election.num_voters, election.num_candidates, election.committee_size
     utilities = election.utilities
-    if path is None:
-        path = []
-    # (candidate, supporters, their utilities) in ascending id order, so that
-    # ties keep the smaller id.
+    if cache is None:
+        cache = _EngineCache()
+    cache.bind(election, overspend)
+    path = cache.levels
+    # (candidate, supporters, their utilities or None) in ascending id
+    # order, so that ties keep the smaller id.
     pool = []
     for c in cols:
         if c < m:
-            supporters = np.nonzero(utilities[:, c] > 0.0)[0]
+            supporters, u = cache.column(c)
             if supporters.size:
-                pool.append((c, supporters, utilities[supporters, c]))
+                pool.append((c, supporters, u))
     rounds = []
     with np.errstate(divide="ignore", invalid="ignore"):
         while len(rounds) < k:
@@ -198,24 +266,26 @@ def _equal_shares_engine(election, cols, overspend, path=None):
     return frozenset(elected | set(completion)), MesTrace(tuple(rounds), completion)
 
 
-def equal_shares_subset(election, candidates, path=None):
+def equal_shares_subset(election, candidates, cache=None):
     """Run the equal-shares engine on a candidate subset of an election.
 
     `candidates` are original indices plus optional dummy sentinels: any id
     at or beyond num_candidates stands for a zero-utility dummy. Columns are
     taken in ascending id order, so index tie-breaking matches the full
     election and dummies (largest ids, zero total utility) can only enter via
-    completion, after every real candidate. `path`, a list the caller keeps
-    between calls on this election and engine, lets each call resume the
-    previous one's rounds (see `_equal_shares_engine`). Returns (members,
+    completion, after every real candidate. `cache`, an `_EngineCache` the
+    caller keeps between calls on this election with this rule, lets each
+    call reuse the supporter pools built and the rounds solved by earlier
+    ones (see `_equal_shares_engine`); a cache used with another election or
+    with `bounded_overspending_subset` raises ValueError. Returns (members,
     trace) in the caller's id space.
     """
-    return _equal_shares_engine(election, sorted(candidates), False, path)
+    return _equal_shares_engine(election, sorted(candidates), False, cache)
 
 
-def bounded_overspending_subset(election, candidates, path=None):
+def bounded_overspending_subset(election, candidates, cache=None):
     """As equal_shares_subset, with the bounded-overspending engine."""
-    return _equal_shares_engine(election, sorted(candidates), True, path)
+    return _equal_shares_engine(election, sorted(candidates), True, cache)
 
 
 def mes(election):

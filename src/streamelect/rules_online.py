@@ -14,7 +14,13 @@ import math
 import numpy as np
 
 from .core import Committee, Decision, stream
-from .rules_offline import _charge, _round_key, bounded_overspending_subset, equal_shares_subset
+from .rules_offline import (
+    _charge,
+    _EngineCache,
+    _round_key,
+    bounded_overspending_subset,
+    equal_shares_subset,
+)
 
 
 def _exploration_length(m, exploration):
@@ -35,7 +41,9 @@ def greedy_budgeting(election, order):
     they then pay with the equal-or-all split: each supporter pays
     min(b_i, lam) for the lam solving sum min(b_i, lam) = 1. Otherwise the
     candidate is rejected. This is the purchase step of the equal-shares
-    engine (`rules_offline._round_key` and `_charge`) with unit utilities.
+    engine (`rules_offline._round_key` and `_charge`) with unit utilities,
+    passed as None, so rho is solved by the engine's exact unit kernel
+    `_unit_rho` whatever the column's own values.
 
     Returns
     -------
@@ -45,8 +53,6 @@ def greedy_budgeting(election, order):
     m = election.num_candidates
     k = election.committee_size
     budgets = np.full(n, k / n)
-    # Unit utilities: the first s entries are those of s supporters.
-    ones = np.ones(n)
     members = []
     audit = []
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -59,12 +65,11 @@ def greedy_budgeting(election, order):
                 audit.append(Decision(position, c, True, "safeguard"))
                 continue
             supporters = np.nonzero(column > 0.0)[0]
-            unit = ones[: supporters.size]
-            key = _round_key(budgets[supporters], unit, False)
+            key = _round_key(budgets[supporters], None, False)
             if key is None:
                 audit.append(Decision(position, c, False, "insufficient-budget"))
                 continue
-            payments, budgets = _charge(budgets, supporters, unit, key)
+            payments, budgets = _charge(budgets, supporters, None, key)
             members.append(c)
             audit.append(
                 Decision(
@@ -93,12 +98,14 @@ def _displacement_rule(election, order, exploration, subset_rule):
     never re-enter it.
 
     All subset calls of one run, the reference call included, share one
-    winner path (see `rules_offline._equal_shares_engine`), which caches each
-    round's budgets, solved keys and winner. Consecutive calls share all but
-    one column, so each resumes the previous call's rounds while its winners
-    agree and solves only the keys not yet seen. Reuse is exact: a cached
-    value is the output of the same computation on the same budgets. A path
-    belongs to one election and one subset rule, so it lives for one run.
+    `rules_offline._EngineCache`: its pool builds each column's supporter
+    index once per run, and its winner path caches each round's budgets,
+    solved keys and winner (see `rules_offline._equal_shares_engine`).
+    Consecutive calls share all but one column, so each resumes the previous
+    call's rounds while its winners agree and solves only the keys not yet
+    seen. Reuse is exact: a cached value is the output of the same
+    computation on the same inputs. A cache belongs to one election and one
+    subset rule, so it lives for one run.
     """
     m = election.num_candidates
     k = election.committee_size
@@ -108,7 +115,7 @@ def _displacement_rule(election, order, exploration, subset_rule):
     members = []
     audit = []
     reference = running = None
-    path = []
+    cache = _EngineCache()
     for position, c, _column in stream(election, order):
         snap = tuple(sorted(running)) if running is not None else None
         if len(members) == k:
@@ -122,9 +129,9 @@ def _displacement_rule(election, order, exploration, subset_rule):
             audit.append(Decision(position, c, False, "exploration"))
             continue
         if running is None:
-            reference, _ = subset_rule(election, arrivals[:t] + dummies, path)
+            reference, _ = subset_rule(election, arrivals[:t] + dummies, cache)
             running = set(reference)
-        winners, _ = subset_rule(election, tuple(running) + (c,), path)
+        winners, _ = subset_rule(election, tuple(running) + (c,), cache)
         (excluded,) = (running | {c}) - winners
         if excluded == c:
             snap = tuple(sorted(running))

@@ -1,7 +1,11 @@
 """Ballot file parsing, the native format, and the bundled data."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamelect import (
     ArrivalOrder,
@@ -207,3 +211,70 @@ class TestBundledBallots:
                 e = to_election(instance, divisor_committee_size(m, divisor))
                 assert 2 <= e.committee_size < m
                 assert set(np.unique(e.utilities)) <= {0.0, 1.0}
+
+
+NATIVE = "3 4 2 5.0\norder: 2 4 1 3\n1.0;0.0;2.5;5.0\n0;1;1;0\n4.0;0.0;0.0;3.0\n"
+
+# Fragments that each parser treats specially, so that mutations reach its
+# checks and not only the first one that rejects noise.
+FRAGMENTS = (
+    "", "0", "1", "-1", "-0", "99999999999", "1e308", "nan", "inf", ".", "e",
+    ";", ",", " ", "\n", "\r", "\t", "x", "order:", "META", "PROJECTS", "VOTES",
+    "key", "value", "vote", "voter_id", "project_id", "vote_type", "approval",
+    "num_projects", "num_votes", "p1", "v1",
+)
+
+
+@st.composite
+def mutated(draw, text):
+    """`text` after one to four random edits: a span replaced by a fragment
+    or by random characters, or a line deleted, duplicated, swapped with
+    another, or cut off with the rest of the file."""
+    for _ in range(draw(st.integers(1, 4))):
+        lines = text.splitlines(keepends=True) or [""]
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("replace", "delete", "duplicate", "swap", "truncate")))
+        if edit == "replace":
+            start = draw(st.integers(0, len(text)))
+            end = start + draw(st.integers(0, 3))
+            new = draw(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=3)))
+            text = text[:start] + new + text[end:]
+        elif edit == "delete":
+            text = "".join(lines[:i] + lines[i + 1 :])
+        elif edit == "duplicate":
+            text = "".join(lines[: i + 1] + lines[i:])
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "".join(lines)
+        else:
+            text = "".join(lines[:i]) + lines[i][: draw(st.integers(0, len(lines[i])))]
+    return text
+
+
+def assert_parses_or_names_line(parse, text):
+    """`parse(text)` returns, or raises ParseError starting `line N:` with N
+    at most one past the file's last line."""
+    try:
+        parse(text)
+    except ParseError as exc:
+        found = re.match(r"line (\d+): ", str(exc))
+        assert found, f"no line number in {str(exc)!r}"
+        assert 1 <= int(found.group(1)) <= len(text.splitlines()) + 1
+
+
+class TestParserFuzz:
+    @given(mutated(MINIMAL))
+    @example(MINIMAL[: MINIMAL.index("VOTES")])
+    @example(MINIMAL.replace("vote_type;approval", "vote_type;ordinal"))
+    @example(MINIMAL.replace("description;tiny", "num_votes;lots"))
+    @settings(max_examples=500, deadline=None)
+    def test_pabulib(self, text):
+        assert_parses_or_names_line(parse_pabulib, text)
+
+    @given(mutated(NATIVE))
+    @example(NATIVE.replace("3 4 2", "3 99999999999 2"))
+    @example("1 99999999999 2\n1;0\n")
+    @settings(max_examples=500, deadline=None)
+    def test_native(self, text):
+        assert_parses_or_names_line(read_native, text)

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from streamelect import (
     seeded_rng,
     utilitarian_topk,
 )
-from streamelect.rules_offline import PAY_EPS, _charge, _rho
+from streamelect.rules_offline import PAY_EPS, _charge, _EngineCache, _rho, _unit_rho
 
 from conftest import random_approval_election, random_cardinal_election, showcase_election
 
@@ -148,6 +149,48 @@ class TestExactRho:
         assert rho == pytest.approx(0.5)
         assert payments[0] == pytest.approx(0.5)
         assert payments[1] == pytest.approx(0.5)
+
+
+def bits(x):
+    """The IEEE-754 bytes of a float, so that 0.0 and -0.0 differ."""
+    return struct.pack("<d", x)
+
+
+@st.composite
+def unit_budgets(draw):
+    """Supporter budgets of a 0/1 column: 1 to 300 of them, past the 8
+    elements from which numpy unrolls `sum`, with tied budgets and depleted
+    ones of 0.0 and -0.0, rescaled to total at least 1 or to lie in
+    [1 - PAY_EPS, 1), where the solve falls back to the largest budget.
+    Up to 40 drawn values are repeated to the drawn size and shuffled, which
+    keeps large examples cheap to draw and ties common."""
+    budget = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 0.25]), st.floats(1e-6, 1.0))
+    values = draw(st.lists(budget, min_size=1, max_size=40))
+    size = draw(st.integers(1, 300))
+    shuffle = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(size)
+    b = np.resize(np.array(values), size)[shuffle]
+    total = b.sum()
+    assume(total > 0.0)
+    below_one = st.sampled_from([1 - 1e-12, 1 - 1e-10, 1 - PAY_EPS / 2])
+    b = b * (draw(st.one_of(st.floats(1.0, 4.0), below_one)) / total)
+    assume(b.sum() >= 1.0 - PAY_EPS)
+    return b
+
+
+class TestUnitRho:
+    @given(unit_budgets())
+    @example(np.array([1 - PAY_EPS / 2]))
+    @example(np.array([0.0, -0.0, 0.5, 0.5 - 1e-10]))
+    @example(np.full(300, 1.0 / 300))
+    @example(np.concatenate((np.full(8, -0.0), np.full(8, 0.125))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rho_and_voter_walk_bit_for_bit(self, b):
+        s = b.size
+        ones = np.ones(s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = _rho(b, ones)
+        walked, _ = reference_exact_rho(b, ones, np.arange(s))
+        assert bits(_unit_rho(b)) == bits(expected) == bits(walked)
 
 
 def reference_greedy(election, order):
@@ -386,13 +429,39 @@ class TestSharedPath:
     @settings(max_examples=300, deadline=None)
     def test_replay_matches_fresh_calls(self, replay, rule):
         e, calls = replay
-        path = []
+        cache = _EngineCache()
+        entries = {}
         for subset in calls:
-            members, trace = rule(e, subset, path)
+            members, trace = rule(e, subset, cache)
             fresh_members, fresh_trace = rule(e, subset)
             assert members == fresh_members
             assert trace.completion_added == fresh_trace.completion_added
             assert [(r.candidate, r.rho, r.payments) for r in trace.rounds] == [
                 (r.candidate, r.rho, r.payments) for r in fresh_trace.rounds
             ]
-            assert len(path) <= e.committee_size
+            assert len(cache.levels) <= e.committee_size
+            # A column's pool entry is built once and kept for the cache's life.
+            for c in subset & set(range(e.num_candidates)):
+                assert cache.pool[c] is entries.setdefault(c, cache.pool[c])
+        assert set(cache.pool) == set(entries)
+        for c, (supporters, u) in cache.pool.items():
+            column = e.utilities[:, c]
+            assert np.array_equal(supporters, np.nonzero(column > 0.0)[0])
+            assert (u is None) == bool((column[supporters] == 1.0).all())
+
+    @pytest.mark.parametrize(
+        "rule, other_rule",
+        [
+            (equal_shares_subset, bounded_overspending_subset),
+            (bounded_overspending_subset, equal_shares_subset),
+        ],
+    )
+    def test_cache_serves_one_election_and_one_engine(self, showcase, rule, other_rule):
+        cache = _EngineCache()
+        rule(showcase, (0, 1, 2, 3), cache)
+        with pytest.raises(ValueError, match="one election and one engine"):
+            other_rule(showcase, (0, 1, 2, 3), cache)
+        with pytest.raises(ValueError, match="one election and one engine"):
+            rule(showcase_election(), (0, 1, 2, 3), cache)
+        members, _ = rule(showcase, (0, 1, 2, 3), cache)
+        assert members == rule(showcase, (0, 1, 2, 3))[0]

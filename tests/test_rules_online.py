@@ -17,6 +17,7 @@ from streamelect import (
     run_rule,
     seeded_rng,
 )
+from streamelect import rules_online
 from streamelect.rules_online import ONLINE_RULE_IDS, _exploration_length
 
 from conftest import random_approval_election, random_cardinal_election, showcase_election
@@ -188,7 +189,15 @@ class TestSharedPathAudits:
         "rule, subset_rule",
         [(online_mes, equal_shares_subset), (online_bos, bounded_overspending_subset)],
     )
-    def test_matches_fresh_subset_calls(self, rule, subset_rule):
+    def test_matches_fresh_subset_calls(self, monkeypatch, rule, subset_rule):
+        caches = []
+
+        def recording_rule(election, candidates, cache):
+            caches.append(cache)
+            return subset_rule(election, candidates, cache)
+
+        monkeypatch.setattr(rules_online, subset_rule.__name__, recording_rule)
+        runs_with_calls = 0
         rng = seeded_rng(27)
         for index in range(60):
             sampler = random_approval_election if index % 2 else random_cardinal_election
@@ -197,11 +206,18 @@ class TestSharedPathAudits:
             # Every third run explores fewer than k arrivals, so the
             # reference call carries dummy ids.
             t = int(rng.integers(0, e.committee_size)) if index % 3 == 0 else None
+            caches.clear()
             committee = rule(e, order, t)
             t = _exploration_length(e.num_candidates, t)
             assert (committee.members, committee.audit) == fresh_displacement(
                 e, order, subset_rule, t
             )
+            # Every subset call of the run shares one cache of at most k levels.
+            assert len({id(cache) for cache in caches}) <= 1
+            assert all(len(cache.levels) <= e.committee_size for cache in caches)
+            assert all(cache.election is e for cache in caches)
+            runs_with_calls += bool(caches)
+        assert runs_with_calls > 30
 
 
 class TestOnlineNash:
