@@ -173,8 +173,7 @@ def check_ejr_plus_approval(election, committee):
     return _report("ejr-plus", witnesses, n, shortfall=shortfall)
 
 
-def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=None,
-                         cap=BRUTE_FORCE_VOTER_CAP):
+def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=None):
     """Exhaustive check of EJR or one of its relaxations.
 
     Exactly one of `beta` (>= 1), `gamma` (integer >= 0), `delta` (in (0, k])
@@ -194,9 +193,10 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
     if delta is not None and not 0 < delta <= election.committee_size:
         raise ValueError(f"delta must lie in (0, k], got {delta}")
     n, m, k = election.num_voters, election.num_candidates, election.committee_size
-    if n > cap:
+    if n > BRUTE_FORCE_VOTER_CAP:
         raise InstanceTooLargeError(
-            f"brute-force EJR enumerates 2^n groups; n={n} exceeds the cap of {cap}"
+            f"brute-force EJR enumerates 2^n groups; n={n} exceeds the cap of"
+            f" {BRUTE_FORCE_VOTER_CAP}"
         )
     utilities = election.utilities
     sat = satisfaction(election, committee)
@@ -250,43 +250,6 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
 CONSTRUCTION_IDS = ("beta-ejr", "ejr-gamma", "delta-ejr", "strong-jr")
 
 
-@dataclass(frozen=True)
-class CounterexampleSpec:
-    """Parameters of an adversarial instance.
-
-    `construction` is one of beta-ejr, ejr-gamma, delta-ejr, strong-jr;
-    `epsilon` the small positive perturbation; `beta`, `gamma`, `delta` are
-    only meaningful for their constructions. `beta` shapes the beta-ejr
-    instance: b-block utility beta/k and score cap beta (default 2.0).
-    `gamma` and `delta` leave the instance unchanged and only parametrise
-    the matching checker.
-    """
-
-    construction: str
-    k: int = 2
-    epsilon: float = 0.1
-    beta: float | None = None
-    gamma: int | None = None
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.construction not in CONSTRUCTION_IDS:
-            raise ValueError(f"unknown construction: {self.construction!r}")
-        if self.construction != "strong-jr":
-            if self.k < 2:
-                raise ValueError("constructions need k >= 2")
-            if not 0 < self.epsilon < 1:
-                raise ValueError("epsilon must lie in (0, 1)")
-        if self.construction == "beta-ejr" and self.beta is not None and not self.beta >= 1:
-            raise ValueError("beta must be finite and at least 1")
-        if self.construction == "ejr-gamma" and self.gamma is not None:
-            if not 0 <= self.gamma <= self.k - 1:
-                raise ValueError("gamma must lie in [0, k-1]")
-        if self.construction == "delta-ejr" and self.delta is not None:
-            if not 0 < self.delta <= self.k:
-                raise ValueError("delta must lie in (0, k]")
-
-
 # Documented arrival orders for the tuned committee sizes. Each defeats as
 # many online rules as any single order of its election does (checked by
 # enumerating every order at the default epsilon):
@@ -307,8 +270,15 @@ DOCUMENTED_ORDERS = {
 }
 
 
-def make_counterexample(spec):
+def make_counterexample(construction, k=2, epsilon=0.1, beta=None):
     """Build the adversarial election for a construction id.
+
+    `construction` is one of CONSTRUCTION_IDS, `k` the committee size (at
+    least 2) and `epsilon` the perturbation in (0, 1); the fixed strong-jr
+    instance reads neither. `beta` (at least 1, default 2.0) shapes only the
+    beta-ejr instance: b-block utility beta/k and score cap beta. The
+    relaxation levels of the other axioms belong to `check_ejr_bruteforce`,
+    not to the instances.
 
     Candidates come in an a-block followed by a b-block. The returned
     arrival order is the documented staging for the construction (see
@@ -323,30 +293,41 @@ def make_counterexample(spec):
     -------
     (Election, ArrivalOrder)
     """
-    k, eps = spec.k, spec.epsilon
-    if spec.construction == "beta-ejr":
-        beta = spec.beta if spec.beta is not None else 2.0
+    if construction not in CONSTRUCTION_IDS:
+        raise ValueError(f"unknown construction: {construction!r}")
+    if construction != "strong-jr":
+        if k < 2:
+            raise ValueError("constructions need k >= 2")
+        if not 0 < epsilon < 1:
+            raise ValueError("epsilon must lie in (0, 1)")
+    if beta is not None:
+        if construction != "beta-ejr":
+            raise ValueError(f"beta shapes only the beta-ejr instance, not {construction}")
+        if not beta >= 1:
+            raise ValueError(f"beta must be at least 1, got {beta}")
+    if construction == "beta-ejr":
+        beta = 2.0 if beta is None else beta
         rows = np.zeros((k, 2 * k))
         for i in range(k):
-            rows[i, i] = 1.0 - eps
+            rows[i, i] = 1.0 - epsilon
             rows[i, k:] = beta / k
         election = Election(k, 2 * k, k, rows, score_cap=beta)
-    elif spec.construction == "ejr-gamma":
+    elif construction == "ejr-gamma":
         rows = np.zeros((k, k * k + k))
         for i in range(k):
             for j in range(k):
-                rows[i, i * k + j] = (2.0**j) * eps
-            rows[i, k * k :] = (2.0 ** (k + 1)) * eps
-        election = Election(k, k * k + k, k, rows, score_cap=(2.0 ** (k + 1)) * eps)
-    elif spec.construction == "delta-ejr":
+                rows[i, i * k + j] = (2.0**j) * epsilon
+            rows[i, k * k :] = (2.0 ** (k + 1)) * epsilon
+        election = Election(k, k * k + k, k, rows, score_cap=(2.0 ** (k + 1)) * epsilon)
+    elif construction == "delta-ejr":
         row = np.zeros((1, 2 * k))
         for j in range(k):
-            row[0, j] = 1.0 + (j + 1) * eps
-        row[0, k:] = 1.0 + eps * ((k + 1) / 2 + 1 / k)
-        election = Election(1, 2 * k, k, row, score_cap=1.0 + k * eps)
+            row[0, j] = 1.0 + (j + 1) * epsilon
+        row[0, k:] = 1.0 + epsilon * ((k + 1) / 2 + 1 / k)
+        election = Election(1, 2 * k, k, row, score_cap=1.0 + k * epsilon)
     else:
         election = Election.from_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]], 2)
-    staged = DOCUMENTED_ORDERS.get((spec.construction, election.committee_size))
+    staged = DOCUMENTED_ORDERS.get((construction, election.committee_size))
     if staged is not None:
         return election, ArrivalOrder(staged)
     return election, ArrivalOrder.identity(election.num_candidates)

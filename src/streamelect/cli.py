@@ -13,7 +13,6 @@ import sys
 from .axioms import (
     CONSTRUCTION_IDS,
     BallotTypeError,
-    CounterexampleSpec,
     check_ejr_bruteforce,
     check_ejr_plus_approval,
     check_jr,
@@ -75,6 +74,10 @@ def _committee_from_arg(value, num_candidates):
 
 
 def cmd_check(args):
+    if args.axiom != "ejr":
+        for name in ("beta", "gamma", "delta"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} relaxes only the ejr check, not {args.axiom}")
     election, _ = _read_instance(args.instance)
     committee = _committee_from_arg(args.committee, election.num_candidates)
     if args.axiom == "jr":
@@ -165,15 +168,9 @@ def _fmt(value):
 
 
 def cmd_counterexample(args):
-    spec = CounterexampleSpec(
-        construction=args.construction,
-        k=args.committee,
-        epsilon=args.epsilon,
-        beta=args.beta,
-        gamma=args.gamma,
-        delta=args.delta,
+    election, order = make_counterexample(
+        args.construction, k=args.committee, epsilon=args.epsilon, beta=args.beta
     )
-    election, order = make_counterexample(spec)
     return _emit(write_native(election, order), args.output, f"{args.construction} instance")
 
 
@@ -231,9 +228,7 @@ def build_parser():
     p_ce.add_argument("construction", choices=CONSTRUCTION_IDS)
     p_ce.add_argument("--committee", type=int, default=2)
     p_ce.add_argument("--epsilon", type=float, default=0.1)
-    p_ce.add_argument("--beta", type=float, default=None)
-    p_ce.add_argument("--gamma", type=int, default=None)
-    p_ce.add_argument("--delta", type=float, default=None)
+    p_ce.add_argument("--beta", type=float, default=None, help="beta-ejr only (default 2)")
     p_ce.add_argument("--output", "-o", default=None)
     p_ce.set_defaults(func=cmd_counterexample)
 

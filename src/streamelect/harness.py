@@ -119,8 +119,9 @@ class ExperimentConfig:
     CSV path; `base_seed` roots every seed. `instances` (exp3, exp4,
     thm-nash) bounds the sampled instances, `orders` (thm-mes, thm-nash) is
     the Monte Carlo size, and `p` and `exploration` (thm-mes only) are the
-    relaxation level and the online-mes exploration length: `run_cell` runs
-    every rule with the default floor(m/e), so exp1-exp4 ignore it.
+    relaxation level, at least 0, and the online-mes exploration length:
+    `run_cell` runs every rule with the default floor(m/e), so exp1-exp4
+    ignore it.
     """
 
     experiment: str
@@ -142,6 +143,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1")
         if any(d < 1 for d in self.divisors):
             raise ValueError(f"divisors must be at least 1, got {self.divisors}")
+        if self.p < 0:
+            raise ValueError(f"p must be at least 0, got {self.p}")
 
 
 def parse_config(text):

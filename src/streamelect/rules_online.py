@@ -55,31 +55,30 @@ def greedy_budgeting(election, order):
     budgets = np.full(n, k / n)
     members = []
     audit = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for position, c, column in stream(election, order):
-            if len(members) == k:
-                audit.append(Decision(position, c, False, "committee-full"))
-                continue
-            if m - position + 1 == k - len(members):
-                members.append(c)
-                audit.append(Decision(position, c, True, "safeguard"))
-                continue
-            supporters = np.nonzero(column > 0.0)[0]
-            key = _round_key(budgets[supporters], None, False)
-            if key is None:
-                audit.append(Decision(position, c, False, "insufficient-budget"))
-                continue
-            payments, budgets = _charge(budgets, supporters, None, key)
+    for position, c, column in stream(election, order):
+        if len(members) == k:
+            audit.append(Decision(position, c, False, "committee-full"))
+            continue
+        if m - position + 1 == k - len(members):
             members.append(c)
-            audit.append(
-                Decision(
-                    position,
-                    c,
-                    True,
-                    "affordable",
-                    payments=tuple((int(i), float(payments[i])) for i in supporters),
-                )
+            audit.append(Decision(position, c, True, "safeguard"))
+            continue
+        supporters = np.nonzero(column > 0.0)[0]
+        key = _round_key(budgets[supporters], None, False)
+        if key is None:
+            audit.append(Decision(position, c, False, "insufficient-budget"))
+            continue
+        payments, budgets = _charge(budgets, supporters, None, key)
+        members.append(c)
+        audit.append(
+            Decision(
+                position,
+                c,
+                True,
+                "affordable",
+                payments=tuple((int(i), float(payments[i])) for i in supporters),
             )
+        )
     return Committee(frozenset(members), tuple(audit))
 
 
@@ -210,7 +209,10 @@ def online_nash(election, order):
 
 def run_rule(rule_id, election, order, exploration=None):
     """Dispatch an online rule by id: greedy, online-mes, online-bos, online-nash.
-    `exploration` is passed to online-mes and online-bos; the others ignore it."""
+    `exploration` is passed to online-mes and online-bos; the other rules
+    have no exploration phase and raise ValueError when it is given."""
+    if exploration is not None and rule_id in ("greedy", "online-nash"):
+        raise ValueError(f"{rule_id} has no exploration phase")
     if rule_id == "greedy":
         return greedy_budgeting(election, order)
     if rule_id == "online-mes":

@@ -13,7 +13,14 @@ import numpy as np
 
 from .core import Election, seeded_rng
 
-CULTURES = ("ic", "mallows", "normalized-mallows", "polarized")
+# The SampleSpec parameters each culture reads; any other must stay None.
+CULTURE_PARAMETERS = {
+    "ic": ("p",),
+    "mallows": ("phi",),
+    "normalized-mallows": ("phi",),
+    "polarized": ("x", "q"),
+}
+CULTURES = tuple(CULTURE_PARAMETERS)
 
 MEMORY_CAP = 10_000_000  # cap on n * m utility entries
 
@@ -27,7 +34,9 @@ class SampleSpec:
     the value whose expected swap distance is that fraction of the uniform
     expectation); x the group-A voter share and q the group-B approval rate
     (polarized); noise toggles the per-candidate utility jitter of the
-    Mallows cultures.
+    Mallows cultures. A parameter the culture does not read must stay unset
+    (noise True off the Mallows cultures), so that equal elections have
+    equal instance ids.
     """
 
     culture: str
@@ -44,6 +53,11 @@ class SampleSpec:
     def __post_init__(self):
         if self.culture not in CULTURES:
             raise ValueError(f"unknown culture: {self.culture!r}")
+        for name in ("p", "phi", "x", "q"):
+            if getattr(self, name) is not None and name not in CULTURE_PARAMETERS[self.culture]:
+                raise ValueError(f"{self.culture} does not read {name}")
+        if not self.noise and self.culture not in ("mallows", "normalized-mallows"):
+            raise ValueError(f"{self.culture} has no noise to switch off")
         if self.num_voters * self.num_candidates > MEMORY_CAP:
             raise ValueError(
                 f"instance would hold {self.num_voters * self.num_candidates} utilities,"
@@ -72,6 +86,8 @@ class SampleSpec:
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{name}{value:g}")
+        if not self.noise:
+            parts.append("nonoise")
         parts.append(f"s{self.seed}")
         return "-".join(parts)
 

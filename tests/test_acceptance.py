@@ -16,7 +16,6 @@ import pytest
 from streamelect import (
     ArrivalOrder,
     Committee,
-    CounterexampleSpec,
     Election,
     ExperimentConfig,
     SampleSpec,
@@ -150,7 +149,7 @@ def _defeated_rules(construction, election, order):
 def defeats_by_order(construction, k):
     """(order, defeated rules) for every arrival order of the fixture
     election, in lexicographic order. Runs all m! orders, so only for m <= 6."""
-    election, _ = make_counterexample(CounterexampleSpec(construction, k=k))
+    election, _ = make_counterexample(construction, k=k)
     return tuple(
         (perm, _defeated_rules(construction, election, ArrivalOrder(perm)))
         for perm in itertools.permutations(range(election.num_candidates))
@@ -167,7 +166,7 @@ def test_criterion_2_lower_bound_fixture(construction, k, rule):
     the fixture election, and the documented order defeats as many rules as
     any single order does. One order defeating all four rules exists only for
     ejr-gamma, whose 12! orders are therefore never enumerated."""
-    election, order = make_counterexample(CounterexampleSpec(construction, k=k))
+    election, order = make_counterexample(construction, k=k)
     documented = _defeated_rules(construction, election, order)
     if len(documented) == len(ONLINE_RULE_IDS):
         table = ((order.permutation, documented),)

@@ -7,7 +7,6 @@ from streamelect import (
     ArrivalOrder,
     BallotTypeError,
     Committee,
-    CounterexampleSpec,
     Election,
     InstanceTooLargeError,
     InvalidCommitteeError,
@@ -99,7 +98,7 @@ class TestStrongJr:
     # rows [[1, 0, 0], [0, 1, 2]] with k = 2: quota is one voter, so every
     # positive utility level becomes a binding threshold
     def fixture(self):
-        election, _ = make_counterexample(CounterexampleSpec("strong-jr"))
+        election, _ = make_counterexample("strong-jr")
         return election
 
     def test_unique_satisfying_committee(self):
@@ -236,15 +235,11 @@ class TestEjrBruteforce:
         with pytest.raises(InstanceTooLargeError):
             check_ejr_bruteforce(e, Committee(frozenset({0, 1})))
 
-    def test_explicit_cap(self, showcase):
-        with pytest.raises(InstanceTooLargeError):
-            check_ejr_bruteforce(showcase, Committee(frozenset({2, 3, 5})), cap=1)
 
-
-class TestCounterexampleSpec:
+class TestMakeCounterexample:
     def test_unknown_construction(self):
         with pytest.raises(ValueError):
-            CounterexampleSpec("nonsense")
+            make_counterexample("nonsense")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -253,32 +248,26 @@ class TestCounterexampleSpec:
             {"construction": "beta-ejr", "epsilon": 0.0},
             {"construction": "beta-ejr", "epsilon": 1.0},
             {"construction": "beta-ejr", "beta": 0.5},
-            {"construction": "ejr-gamma", "k": 3, "gamma": 3},
-            {"construction": "ejr-gamma", "gamma": -1},
-            {"construction": "delta-ejr", "delta": 0.0},
-            {"construction": "delta-ejr", "k": 2, "delta": 3.0},
+            # only the beta-ejr instance reads beta
+            {"construction": "delta-ejr", "beta": 2.0},
         ],
     )
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
-            CounterexampleSpec(**kwargs)
+            make_counterexample(**kwargs)
 
     def test_strong_jr_skips_size_checks(self):
         # the strong-jr instance is fixed, so k and epsilon are not validated
-        spec = CounterexampleSpec("strong-jr", k=1, epsilon=5.0)
-        assert spec.construction == "strong-jr"
+        election, _ = make_counterexample("strong-jr", k=1, epsilon=5.0)
+        assert election.committee_size == 2
 
-
-class TestMakeCounterexample:
     def test_all_constructions_build(self):
         for construction in CONSTRUCTION_IDS:
-            election, order = make_counterexample(CounterexampleSpec(construction))
+            election, order = make_counterexample(construction)
             assert len(order.permutation) == election.num_candidates
 
     def test_beta_matrix(self):
-        election, order = make_counterexample(
-            CounterexampleSpec("beta-ejr", k=3, epsilon=0.1)
-        )
+        election, order = make_counterexample("beta-ejr", k=3, epsilon=0.1)
         assert (election.num_voters, election.num_candidates) == (3, 6)
         assert election.committee_size == 3
         expected = np.zeros((3, 6))
@@ -290,9 +279,7 @@ class TestMakeCounterexample:
         assert order.permutation == DOCUMENTED_ORDERS[("beta-ejr", 3)]
 
     def test_gamma_matrix(self):
-        election, order = make_counterexample(
-            CounterexampleSpec("ejr-gamma", k=3, epsilon=0.1)
-        )
+        election, order = make_counterexample("ejr-gamma", k=3, epsilon=0.1)
         assert (election.num_voters, election.num_candidates) == (3, 12)
         row = election.utilities[1]
         assert np.allclose(row[3:6], (0.1, 0.2, 0.4))
@@ -302,27 +289,25 @@ class TestMakeCounterexample:
         assert order.permutation == DOCUMENTED_ORDERS[("ejr-gamma", 3)]
 
     def test_delta_matrix(self):
-        election, order = make_counterexample(
-            CounterexampleSpec("delta-ejr", k=2, epsilon=0.1)
-        )
+        election, order = make_counterexample("delta-ejr", k=2, epsilon=0.1)
         assert (election.num_voters, election.num_candidates) == (1, 4)
         assert np.allclose(election.utilities[0], (1.1, 1.2, 1.2, 1.2))
         assert election.score_cap == pytest.approx(1.2)
         assert order.permutation == DOCUMENTED_ORDERS[("delta-ejr", 2)]
 
     def test_undocumented_size_falls_back_to_identity(self):
-        election, order = make_counterexample(CounterexampleSpec("beta-ejr", k=4))
+        election, order = make_counterexample("beta-ejr", k=4)
         assert order == ArrivalOrder.identity(election.num_candidates)
 
     def test_beta_block_committees(self):
-        election, _ = make_counterexample(CounterexampleSpec("beta-ejr", k=3))
+        election, _ = make_counterexample("beta-ejr", k=3)
         all_a = Committee(frozenset({0, 1, 2}))
         all_b = Committee(frozenset({3, 4, 5}))
         assert not check_ejr_bruteforce(election, all_a, beta=2.0).satisfied
         assert check_ejr_bruteforce(election, all_b).satisfied
 
     def test_gamma_ladder_committee(self):
-        election, _ = make_counterexample(CounterexampleSpec("ejr-gamma", k=3))
+        election, _ = make_counterexample("ejr-gamma", k=3)
         # one ladder rung per voter cannot be repaired even by crediting
         # the k - 1 best outside candidates; that is the construction's point
         rungs = Committee(frozenset({2, 5, 8}))
@@ -337,7 +322,7 @@ class TestMakeCounterexample:
         assert check_ejr_bruteforce(election, mixed, gamma=1).satisfied
 
     def test_delta_relaxation_gap(self):
-        election, _ = make_counterexample(CounterexampleSpec("delta-ejr", k=2))
+        election, _ = make_counterexample("delta-ejr", k=2)
         a_block = Committee(frozenset({0, 1}))
         assert not check_ejr_bruteforce(election, a_block).satisfied
         assert check_ejr_bruteforce(election, a_block, delta=2.0).satisfied

@@ -90,6 +90,13 @@ class TestRun:
         ) == 2
         assert "exploration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule", ["greedy", "online-nash"])
+    def test_exploration_rejected_without_exploration_phase(self, instance_file, capsys, rule):
+        assert main(
+            ["run", rule, "--instance", instance_file, "--exploration", "2"]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {rule} has no exploration phase\n"
+
 
 class TestCheck:
     def test_satisfied_exits_zero(self, camps_file, capsys):
@@ -144,6 +151,18 @@ class TestCheck:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: candidate {member} out of range 1..3\n"
+
+    @pytest.mark.parametrize(
+        "axiom, flag", [("jr", "--beta"), ("strong-jr", "--gamma"), ("ejr-plus", "--delta")]
+    )
+    def test_relaxation_only_for_ejr(self, camps_file, capsys, axiom, flag):
+        code = main(
+            ["check", axiom, "--instance", camps_file, "--committee", "1 2", flag, "2"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} relaxes only the ejr check, not {axiom}\n"
+        )
 
     def test_strong_jr(self, instance_file, capsys):
         code = main(
@@ -263,3 +282,13 @@ class TestCounterexample:
     def test_invalid_parameters(self, capsys):
         assert main(["counterexample", "beta-ejr", "--epsilon", "2.0"]) == 2
         assert "epsilon" in capsys.readouterr().err
+
+    def test_beta_only_for_beta_ejr(self, capsys):
+        assert main(["counterexample", "delta-ejr", "--beta", "2"]) == 2
+        assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--delta"])
+    def test_checker_relaxations_are_not_flags(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "ejr-gamma", flag, "1"])
+        assert exc.value.code == 2

@@ -97,6 +97,7 @@ class TestParseConfig:
             ("experiment=thm-nash\norders=0\n", "orders must be at least 1"),
             ("experiment=exp1\ndivisors=0\n", "divisors must be at least 1"),
             ("experiment=exp2\ndivisors=4, -2\n", "divisors must be at least 1"),
+            ("experiment=thm-mes\np=-1\n", "p must be at least 0, got -1"),
             ("experiment=exp1\niterations=abc\n", "config line 2: expected an integer, got 'abc'"),
             ("experiment=exp1\n\ndivisors=4, x\n", "config line 3: expected an integer, got 'x'"),
         ],

@@ -43,6 +43,13 @@ class TestSampleSpec:
             {"culture": "normalized-mallows", "p": None, "phi": 1.2},
             {"culture": "polarized", "p": None, "x": 0.0, "q": 0.5},
             {"culture": "polarized", "p": None, "x": 0.5},
+            # a parameter the culture does not read
+            {"phi": 0.6},
+            {"noise": False},
+            {"culture": "mallows", "phi": 0.6},
+            {"culture": "normalized-mallows", "p": None, "phi": 0.6, "x": 0.3},
+            {"culture": "polarized", "p": None, "x": 0.5, "q": 0.5, "phi": 0.6},
+            {"culture": "polarized", "p": None, "x": 0.5, "q": 0.5, "noise": False},
         ],
     )
     def test_missing_or_out_of_range_parameters(self, overrides):
@@ -60,6 +67,8 @@ class TestSampleSpec:
             committee_size=2, seed=0, x=1.0, q=0.25,
         )
         assert spec.instance_id() == "polarized-n8-m6-k2-x1-q0.25-s0"
+        noiseless = SampleSpec("mallows", 5, 6, 2, seed=3, phi=0.6, noise=False)
+        assert noiseless.instance_id() == "mallows-n5-m6-k2-phi0.6-nonoise-s3"
 
     def test_culture_mismatch_rejected(self):
         with pytest.raises(ValueError):
