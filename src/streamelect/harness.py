@@ -29,7 +29,16 @@ from .rules_offline import mes, nash_optimum_bruteforce, nash_welfare
 from .rules_online import ONLINE_RULE_IDS, online_mes, run_rule
 from .samplers import CULTURES, SampleSpec, proportional_quota, sample
 
-EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4", "thm-mes", "thm-nash")
+# The ExperimentConfig fields each experiment reads.
+SETTINGS = {
+    "exp1": ("sources", "divisors", "iterations", "base_seed", "output"),
+    "exp2": ("sources", "divisors", "iterations", "base_seed", "output"),
+    "exp3": ("instances", "iterations", "base_seed", "output"),
+    "exp4": ("instances", "iterations", "base_seed", "output"),
+    "thm-mes": ("orders", "base_seed", "p"),
+    "thm-nash": ("instances", "orders", "base_seed"),
+}
+EXPERIMENTS = tuple(SETTINGS)
 
 ALL_RULE_IDS = ONLINE_RULE_IDS + ("offline-mes",)
 
@@ -110,18 +119,16 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings of one experiment run, with the experiments that read each.
+    """Settings of one experiment run. SETTINGS names the fields each
+    experiment reads; a field it does not read must stay at its default.
 
-    `sources` (exp1, exp2) are instance files: ballot files for exp1, which
-    falls back to the bundled ones, and native instances for exp2. Each of
-    `divisors` (exp1, exp2) gives one committee size. `iterations` and
-    `output` (exp1-exp4) set the arrival orders per (instance, k) and the
-    CSV path; `base_seed` roots every seed. `instances` (exp3, exp4,
-    thm-nash) bounds the sampled instances, `orders` (thm-mes, thm-nash) is
-    the Monte Carlo size, and `p` and `exploration` (thm-mes only) are the
-    relaxation level, at least 0, and the online-mes exploration length:
-    `run_cell` runs every rule with the default floor(m/e), so exp1-exp4
-    ignore it.
+    `sources` are instance files: ballot files for exp1, which falls back to
+    the bundled ones, and native instances for exp2, which needs at least
+    one. Each of `divisors` gives one committee size. `iterations` and
+    `output` set the arrival orders per (instance, k) and the CSV path;
+    `base_seed` roots every seed. `instances` bounds the sampled instances,
+    `orders` is the Monte Carlo size, and `p`, at least 0, is the relaxation
+    level of thm-mes.
     """
 
     experiment: str
@@ -133,25 +140,31 @@ class ExperimentConfig:
     instances: int = 20
     orders: int = 500
     p: int = 2
-    exploration: int | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in SETTINGS:
             raise ValueError(f"unknown experiment: {self.experiment!r}")
         for name in ("iterations", "instances", "orders"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if any(d < 1 for d in self.divisors):
+        if not self.divisors or any(d < 1 for d in self.divisors):
             raise ValueError(f"divisors must be at least 1, got {self.divisors}")
         if self.p < 0:
             raise ValueError(f"p must be at least 0, got {self.p}")
+        read = SETTINGS[self.experiment]
+        for field in dataclasses.fields(self)[1:]:
+            if field.name not in read and getattr(self, field.name) != field.default:
+                raise ValueError(f"{self.experiment} does not read {field.name}")
+        if self.experiment == "exp2" and not self.sources:
+            raise ValueError("exp2 needs source= lines")
 
 
 def parse_config(text):
-    """Parse the flat key=value config format (repeated source= lines)."""
+    """Parse the flat key=value config format (repeated source= lines); a
+    key its experiment does not read is refused with its line number."""
     values = {}
     sources = []
-    divisors = None
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -163,16 +176,22 @@ def parse_config(text):
         if key == "source":
             sources.append(value)
         elif key == "divisors":
-            divisors = tuple(_config_int(v, lineno) for v in value.replace(",", " ").split())
-        elif key in ("iterations", "base_seed", "instances", "orders", "p", "exploration"):
+            values[key] = tuple(_config_int(v, lineno) for v in value.replace(",", " ").split())
+        elif key in ("iterations", "base_seed", "instances", "orders", "p"):
             values[key] = _config_int(value, lineno)
         elif key in ("experiment", "output"):
             values[key] = value
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    if "experiment" not in values:
+        lines.setdefault(key, lineno)
+    experiment = values.get("experiment")
+    if experiment is None:
         raise ValueError("config must set experiment=")
-    return ExperimentConfig(sources=tuple(sources), divisors=divisors or (20, 4), **values)
+    for key, lineno in lines.items():
+        field = "sources" if key == "source" else key
+        if experiment in SETTINGS and field not in ("experiment", *SETTINGS[experiment]):
+            raise ValueError(f"config line {lineno}: {experiment} does not read {key}")
+    return ExperimentConfig(sources=tuple(sources), **values)
 
 
 def _config_int(value, lineno):
@@ -247,10 +266,8 @@ def _instances(cfg, skipped):
                 (os.path.basename(path), Path(path).read_text(encoding="utf-8"))
                 for path in cfg.sources
             )
-        elif cfg.experiment == "exp1":
-            files = bundled_ballot_files()
         else:
-            raise ValueError("this experiment needs source= lines")
+            files = bundled_ballot_files()
         for name, text in files:
             if cfg.experiment == "exp1":
                 instance = parse_pabulib(text)
@@ -546,7 +563,7 @@ def verify_thm_mes(cfg):
     for iteration in range(1, orders + 1):
         seed = derive_seed(cfg.base_seed, "thm-mes", k, iteration)
         order = random_order(election.num_candidates, seed)
-        members = online_mes(election, order, cfg.exploration).members
+        members = online_mes(election, order).members
         hired = [c for c in winners if c in members]
         for c in hired:
             hire_counts[c] += 1

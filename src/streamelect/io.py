@@ -148,8 +148,6 @@ def to_election(instance, k):
     candidates in PROJECTS order, 0/1 utilities."""
     m = len(instance.projects)
     n = len(instance.votes)
-    if not 2 <= k < m:
-        raise ValueError(f"committee size must satisfy 2 <= k < m, got k={k}, m={m}")
     index = {pid: j for j, pid in enumerate(instance.projects)}
     matrix = np.zeros((n, m))
     for i, approved in enumerate(instance.votes.values()):

@@ -174,8 +174,6 @@ def online_nash(election, order):
     n = election.num_voters
     m = election.num_candidates
     k = election.committee_size
-    if m < k:
-        raise ValueError(f"cannot split {m} candidates into {k} segments")
     base, extra = divmod(m, k)
     sizes = [base + 1] * extra + [base] * (k - extra)
     members = []

@@ -92,11 +92,10 @@ class SampleSpec:
         return "-".join(parts)
 
 
-def sample_ic(spec):
+def _sample_ic(spec):
     """Impartial culture: per voter, an approval count from Binomial(m, p),
     uniformly chosen approved candidates, and per-approval utilities of
     round(Normal(150, 140)) clamped into [1, 200] (unapproved stay 0)."""
-    _expect(spec, "ic")
     rng = seeded_rng(spec.seed)
     n, m = spec.num_voters, spec.num_candidates
     matrix = np.zeros((n, m))
@@ -142,11 +141,10 @@ def _mallows_election(spec, phi):
     return Election(n, m, spec.committee_size, matrix, score_cap=200.0)
 
 
-def sample_mallows(spec):
+def _sample_mallows(spec):
     """Mallows culture: rankings from repeated insertion around the identity
     order; the rank-r candidate scores 200 (m - r) / (m - 1), r = 1 best,
     plus Uniform(-10, 10) jitter clamped into [0, 200] unless noise=False."""
-    _expect(spec, "mallows")
     return _mallows_election(spec, spec.phi)
 
 
@@ -181,19 +179,17 @@ def dispersion_from_normalized(norm, m):
     return (lo + hi) / 2.0
 
 
-def sample_normalized_mallows(spec):
+def _sample_normalized_mallows(spec):
     """Mallows culture with the dispersion given on the normalized scale:
     phi is mapped so the expected swap distance is spec.phi times the
-    uniform expectation, then sampling proceeds as in sample_mallows."""
-    _expect(spec, "normalized-mallows")
+    uniform expectation, then sampling proceeds as in _sample_mallows."""
     return _mallows_election(spec, dispersion_from_normalized(spec.phi, spec.num_candidates))
 
 
-def sample_polarized(spec):
+def _sample_polarized(spec):
     """Two-bloc approval culture: the first ceil(x n) voters approve every
     first-half candidate; the rest approve each second-half candidate
     independently with probability q."""
-    _expect(spec, "polarized")
     rng = seeded_rng(spec.seed)
     n, m = spec.num_voters, spec.num_candidates
     half = m // 2
@@ -216,7 +212,8 @@ def proportional_quota(spec, committee):
     -------
     (deserved, received)
     """
-    _expect(spec, "polarized")
+    if spec.culture != "polarized":
+        raise ValueError(f"spec has culture {spec.culture!r}, expected 'polarized'")
     half = spec.num_candidates // 2
     deserved = int(spec.x * spec.committee_size + 1e-9)
     received = sum(1 for c in committee.members if c < half)
@@ -224,18 +221,13 @@ def proportional_quota(spec, committee):
 
 
 SAMPLERS = {
-    "ic": sample_ic,
-    "mallows": sample_mallows,
-    "normalized-mallows": sample_normalized_mallows,
-    "polarized": sample_polarized,
+    "ic": _sample_ic,
+    "mallows": _sample_mallows,
+    "normalized-mallows": _sample_normalized_mallows,
+    "polarized": _sample_polarized,
 }
 
 
 def sample(spec):
     """Draw the election described by a SampleSpec."""
     return SAMPLERS[spec.culture](spec)
-
-
-def _expect(spec, culture):
-    if spec.culture != culture:
-        raise ValueError(f"spec has culture {spec.culture!r}, expected {culture!r}")

@@ -253,6 +253,19 @@ class TestExperiment:
         assert "mean ratio" in out
         assert "thm-nash: passed" in out
 
+    @pytest.mark.parametrize(
+        "unread, error",
+        [
+            ("exploration=0\np=5\norders=3\ndivisors=7\n", "config line 4: unknown key 'exploration'"),
+            ("p=5\norders=3\ndivisors=7\n", "config line 4: exp4 does not read p"),
+        ],
+    )
+    def test_unread_settings_refused(self, tmp_path, capsys, unread, error):
+        config = tmp_path / "grid.cfg"
+        config.write_text("experiment=exp4\ninstances=2\niterations=1\n" + unread)
+        assert main(["experiment", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_bad_config(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("experiment=exp9\n")

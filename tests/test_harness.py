@@ -1,5 +1,6 @@
 """Experiment harness: seeding, configs, records, aggregates, theorem checks."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from streamelect import (
 )
 from streamelect.harness import (
     ALL_RULE_IDS,
+    SETTINGS,
     single_approval_election,
     CSV_FIELDS,
     _culture_of,
@@ -49,34 +51,81 @@ class TestDeriveSeed:
         assert derive_seed(5, "a", 2, 2) != base
 
 
+# A value away from the default for every ExperimentConfig field, and the
+# config line that sets it.
+NON_DEFAULT = {
+    "sources": (("a.txt",), "source = a.txt"),
+    "divisors": ((3,), "divisors = 3"),
+    "iterations": (2, "iterations = 2"),
+    "base_seed": (1, "base_seed = 1"),
+    "output": ("out.csv", "output = out.csv"),
+    "instances": (2, "instances = 2"),
+    "orders": (2, "orders = 2"),
+    "p": (1, "p = 1"),
+}
+UNREAD = [
+    (experiment, field)
+    for experiment, read in SETTINGS.items()
+    for field in NON_DEFAULT
+    if field not in read
+]
+
+
+class TestSettings:
+    def test_every_field_in_the_table(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment"}
+        assert fields == set(NON_DEFAULT) == set().union(*SETTINGS.values())
+        assert len(UNREAD) == 24
+
+    @pytest.mark.parametrize("experiment", sorted(SETTINGS))
+    def test_accepts_what_it_reads(self, experiment):
+        values = {field: NON_DEFAULT[field][0] for field in SETTINGS[experiment]}
+        cfg = ExperimentConfig(experiment, **values)
+        assert all(getattr(cfg, field) == value for field, value in values.items())
+
+    @pytest.mark.parametrize("experiment, field", UNREAD)
+    def test_config_refuses_unread_field(self, experiment, field):
+        with pytest.raises(ValueError, match=f"^{experiment} does not read {field}$"):
+            ExperimentConfig(experiment, **{field: NON_DEFAULT[field][0]})
+
+    @pytest.mark.parametrize("experiment, field", UNREAD)
+    def test_parse_refuses_unread_key(self, experiment, field):
+        key = NON_DEFAULT[field][1].split(" = ")[0]
+        text = f"# settings\n{NON_DEFAULT[field][1]}\nexperiment = {experiment}\n"
+        with pytest.raises(ValueError, match=f"^config line 2: {experiment} does not read {key}$"):
+            parse_config(text)
+
+    def test_parse_refuses_unread_key_at_its_default(self):
+        with pytest.raises(ValueError, match="config line 3: exp4 does not read p"):
+            parse_config("experiment=exp4\ninstances=2\np=2\n")
+
+
 class TestParseConfig:
     def test_full_file(self):
-        cfg = parse_config(
+        """One file per group of experiments that read the same settings;
+        together they set every field."""
+        exp2 = parse_config(
             """
-            # polarized sweep
-            experiment = exp4
+            # native instances
+            experiment = exp2
             source = a.pb
             source = b.pb
             divisors = 10, 2
             iterations = 3
             base_seed = 7
-            instances = 4
-            orders = 100
-            p = 1
-            exploration = 2
             output = out.csv
             """
         )
-        assert cfg.experiment == "exp4"
-        assert cfg.sources == ("a.pb", "b.pb")
-        assert cfg.divisors == (10, 2)
-        assert cfg.iterations == 3
-        assert cfg.base_seed == 7
-        assert cfg.instances == 4
-        assert cfg.orders == 100
-        assert cfg.p == 1
-        assert cfg.exploration == 2
-        assert cfg.output == "out.csv"
+        assert exp2.experiment == "exp2"
+        assert exp2.sources == ("a.pb", "b.pb")
+        assert exp2.divisors == (10, 2)
+        assert exp2.iterations == 3
+        assert exp2.base_seed == 7
+        assert exp2.output == "out.csv"
+        exp4 = parse_config("experiment = exp4\ninstances = 4\n")
+        assert exp4.instances == 4
+        thm_mes = parse_config("experiment = thm-mes\norders = 100\np = 1\n")
+        assert (thm_mes.orders, thm_mes.p) == (100, 1)
 
     def test_defaults(self):
         cfg = parse_config("experiment=exp1\n")
@@ -96,10 +145,12 @@ class TestParseConfig:
             ("experiment=exp4\ninstances=-3\n", "instances must be at least 1"),
             ("experiment=thm-nash\norders=0\n", "orders must be at least 1"),
             ("experiment=exp1\ndivisors=0\n", "divisors must be at least 1"),
+            ("experiment=exp1\ndivisors=\n", "divisors must be at least 1, got \\(\\)"),
             ("experiment=exp2\ndivisors=4, -2\n", "divisors must be at least 1"),
             ("experiment=thm-mes\np=-1\n", "p must be at least 0, got -1"),
             ("experiment=exp1\niterations=abc\n", "config line 2: expected an integer, got 'abc'"),
             ("experiment=exp1\n\ndivisors=4, x\n", "config line 3: expected an integer, got 'x'"),
+            ("experiment=thm-mes\nexploration=2\n", "config line 2: unknown key 'exploration'"),
         ],
     )
     def test_rejects(self, text, match):
@@ -218,7 +269,7 @@ class TestExperiments:
 
     def test_exp2_needs_sources(self):
         with pytest.raises(ValueError, match="source="):
-            run_experiment(ExperimentConfig("exp2", iterations=1))
+            ExperimentConfig("exp2", iterations=1)
 
     def test_exp2_native_source(self, tmp_path, showcase):
         from streamelect import write_native

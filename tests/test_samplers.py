@@ -10,12 +10,7 @@ from streamelect import (
     proportional_quota,
     sample,
 )
-from streamelect.samplers import (
-    CULTURES,
-    _insertion_ranking,
-    sample_ic,
-    sample_polarized,
-)
+from streamelect.samplers import CULTURES, _insertion_ranking
 from streamelect.core import seeded_rng
 
 
@@ -69,10 +64,6 @@ class TestSampleSpec:
         assert spec.instance_id() == "polarized-n8-m6-k2-x1-q0.25-s0"
         noiseless = SampleSpec("mallows", 5, 6, 2, seed=3, phi=0.6, noise=False)
         assert noiseless.instance_id() == "mallows-n5-m6-k2-phi0.6-nonoise-s3"
-
-    def test_culture_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            sample_polarized(ic_spec())
 
 
 class TestDeterminism:
