@@ -29,11 +29,6 @@ class BallotTypeError(ValueError):
     """A checker was given ballots outside its supported type."""
 
 
-def _is_approval(election):
-    """Whether every utility of the election is 0 or 1."""
-    return bool(np.all((election.utilities == 0.0) | (election.utilities == 1.0)))
-
-
 @dataclass(frozen=True)
 class Witness:
     """One violating cohesive group: who, over which candidates, and how far
@@ -44,6 +39,17 @@ class Witness:
     alphas: tuple
     required: float
     achieved: float
+
+
+def _witness(group, candidate, required, achieved):
+    """A one-candidate witness, whose single alpha is the required level."""
+    return Witness(
+        group=tuple(int(i) for i in group),
+        candidates=(candidate,),
+        alphas=(required,),
+        required=required,
+        achieved=achieved,
+    )
 
 
 @dataclass(frozen=True)
@@ -94,15 +100,7 @@ def check_jr(election, committee):
         column = election.utilities[:, c]
         group = np.nonzero((column > 0.0) & unserved)[0]
         if group.size * k >= n:
-            witnesses.append(
-                Witness(
-                    group=tuple(int(i) for i in group),
-                    candidates=(c,),
-                    alphas=(float(column[group].min()),),
-                    required=float(column[group].min()),
-                    achieved=0.0,
-                )
-            )
+            witnesses.append(_witness(group, c, float(column[group].min()), 0.0))
     return _report("jr", witnesses, n)
 
 
@@ -122,15 +120,7 @@ def check_strong_jr(election, committee):
                 continue
             achieved = float(sat[group].max())
             if achieved < alpha - CHECK_EPS:
-                witnesses.append(
-                    Witness(
-                        group=tuple(int(i) for i in group),
-                        candidates=(c,),
-                        alphas=(alpha,),
-                        required=alpha,
-                        achieved=achieved,
-                    )
-                )
+                witnesses.append(_witness(group, c, alpha, achieved))
     return _report("strong-jr", witnesses, n)
 
 
@@ -143,8 +133,7 @@ def check_ejr_plus_approval(election, committee):
     group, of their largest deficit ell - |approved winners|; the witness
     `alphas` carry the level ell.
     """
-    utilities = election.utilities
-    if not _is_approval(election):
+    if not election.is_approval:
         raise BallotTypeError("EJR+ check requires approval (0/1) ballots")
     n, k = election.num_voters, election.committee_size
     approved_winners = satisfaction(election, committee)
@@ -153,20 +142,12 @@ def check_ejr_plus_approval(election, committee):
     for c in range(election.num_candidates):
         if c in committee.members:
             continue
-        approvers = utilities[:, c] == 1.0
+        approvers = election.utilities[:, c] == 1.0
         for ell in range(1, k + 1):
             group = np.nonzero(approvers & (approved_winners < ell))[0]
             if group.size * k < ell * n:
                 continue
-            witnesses.append(
-                Witness(
-                    group=tuple(int(i) for i in group),
-                    candidates=(c,),
-                    alphas=(float(ell),),
-                    required=float(ell),
-                    achieved=float(approved_winners[group].max()),
-                )
-            )
+            witnesses.append(_witness(group, c, float(ell), float(approved_winners[group].max())))
             deficits[group] = np.maximum(deficits[group], ell - approved_winners[group])
     violating = deficits > 0
     shortfall = float(deficits[violating].mean()) if violating.any() else 0.0
@@ -183,8 +164,9 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
     the check is exact. beta=1, gamma=0 and delta=1 all coincide with exact
     EJR.
     """
-    variants = [v for v in (beta, gamma, delta) if v is not None]
-    if len(variants) > 1:
+    relaxations = {"beta": beta, "gamma": gamma, "delta": delta}
+    given = [name for name, value in relaxations.items() if value is not None]
+    if len(given) > 1:
         raise ValueError("give at most one of beta, gamma, delta")
     if beta is not None and not beta >= 1:
         raise ValueError(f"beta must be at least 1, got {beta}")
@@ -199,23 +181,13 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
             f" {BRUTE_FORCE_VOTER_CAP}"
         )
     utilities = election.utilities
-    sat = satisfaction(election, committee)
-    achieved = sat.copy()
-    if gamma is not None and gamma > 0:
-        outside = np.asarray(
-            [c for c in range(m) if c not in committee.members], dtype=int
-        )
-        if outside.size:
-            topped = np.sort(utilities[:, outside], axis=1)[:, ::-1]
-            achieved = sat + topped[:, : int(gamma)].sum(axis=1)
+    achieved = satisfaction(election, committee)
+    if gamma:
+        # k < m, so a valid committee always leaves a candidate outside.
+        outside = [c for c in range(m) if c not in committee.members]
+        topped = np.sort(utilities[:, outside], axis=1)[:, ::-1]
+        achieved = achieved + topped[:, : int(gamma)].sum(axis=1)
     divisor = beta if beta is not None else 1.0
-    axiom = "ejr"
-    if beta is not None:
-        axiom = "ejr-beta"
-    elif gamma is not None:
-        axiom = "ejr-gamma"
-    elif delta is not None:
-        axiom = "ejr-delta"
     witnesses = []
     voters = np.arange(n)
     for mask in range(1, 1 << n):
@@ -244,7 +216,7 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
                     achieved=best,
                 )
             )
-    return _report(axiom, witnesses, n)
+    return _report("-".join(["ejr", *given]), witnesses, n)
 
 
 CONSTRUCTION_IDS = ("beta-ejr", "ejr-gamma", "delta-ejr", "strong-jr")

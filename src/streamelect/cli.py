@@ -25,7 +25,12 @@ from .io import ParseError, read_native, write_native
 from .rules_online import ONLINE_RULE_IDS, run_rule
 from .samplers import CULTURES, SampleSpec, sample
 
-CHECKS = ("jr", "strong-jr", "ejr-plus", "ejr")
+CHECKERS = {
+    "jr": check_jr,
+    "strong-jr": check_strong_jr,
+    "ejr-plus": check_ejr_plus_approval,
+    "ejr": check_ejr_bruteforce,
+}
 
 
 def _read_instance(path):
@@ -74,22 +79,15 @@ def _committee_from_arg(value, num_candidates):
 
 
 def cmd_check(args):
-    if args.axiom != "ejr":
-        for name in ("beta", "gamma", "delta"):
-            if getattr(args, name) is not None:
+    relaxations = {}
+    for name in ("beta", "gamma", "delta"):
+        if getattr(args, name) is not None:
+            if args.axiom != "ejr":
                 raise ValueError(f"--{name} relaxes only the ejr check, not {args.axiom}")
+            relaxations[name] = getattr(args, name)
     election, _ = _read_instance(args.instance)
     committee = _committee_from_arg(args.committee, election.num_candidates)
-    if args.axiom == "jr":
-        report = check_jr(election, committee)
-    elif args.axiom == "strong-jr":
-        report = check_strong_jr(election, committee)
-    elif args.axiom == "ejr-plus":
-        report = check_ejr_plus_approval(election, committee)
-    else:
-        report = check_ejr_bruteforce(
-            election, committee, beta=args.beta, gamma=args.gamma, delta=args.delta
-        )
+    report = CHECKERS[args.axiom](election, committee, **relaxations)
     status = "satisfied" if report.satisfied else "violated"
     print(f"{report.axiom}: {status}")
     if not report.satisfied:
@@ -198,7 +196,7 @@ def build_parser():
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="check an axiom on a committee")
-    p_check.add_argument("axiom", choices=CHECKS)
+    p_check.add_argument("axiom", choices=CHECKERS)
     p_check.add_argument("--instance", required=True)
     p_check.add_argument("--committee", required=True, help="1-based member list")
     p_check.add_argument("--beta", type=float, default=None)

@@ -8,6 +8,7 @@ operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,11 @@ class Election:
         matrix = np.asarray(rows, dtype=np.float64)
         n, m = matrix.shape
         return cls(n, m, committee_size, matrix, score_cap)
+
+    @cached_property
+    def is_approval(self):
+        """Whether every utility is 0 or 1, computed on first read."""
+        return bool(np.all((self.utilities == 0.0) | (self.utilities == 1.0)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .axioms import _is_approval, check_ejr_plus_approval, check_jr
+from .axioms import check_ejr_plus_approval, check_jr
 from .core import Election, random_order, satisfaction
 from .io import bundled_ballot_files, divisor_committee_size, parse_pabulib, read_native, to_election
 from .metrics import FIELDS, MetricBundle, compute_metrics, relative_to_baseline
@@ -211,7 +211,6 @@ def run_cell(instance_id, election, seed, spec=None):
     """Evaluate all online rules plus the offline baseline on one arrival
     order; returns the records in canonical rule order."""
     order = random_order(election.num_candidates, seed)
-    approval = _is_approval(election)
     records = []
     for rule_id in ALL_RULE_IDS:
         start = time.perf_counter()
@@ -223,7 +222,7 @@ def run_cell(instance_id, election, seed, spec=None):
         bundle = compute_metrics(satisfaction(election, committee))
         jr_ok = check_jr(election, committee).satisfied
         share = shortfall = witnesses = deserved = received = None
-        if approval:
+        if election.is_approval:
             report = check_ejr_plus_approval(election, committee)
             share = report.violating_voter_share
             shortfall = report.shortfall

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamelect import (
+    ONLINE_RULE_IDS,
     ArrivalOrder,
     BallotTypeError,
     Committee,
@@ -15,6 +18,8 @@ from streamelect import (
     check_jr,
     check_strong_jr,
     make_counterexample,
+    mes,
+    run_rule,
     satisfaction,
 )
 from streamelect.axioms import CONSTRUCTION_IDS, DOCUMENTED_ORDERS
@@ -234,6 +239,55 @@ class TestEjrBruteforce:
         e = Election(16, 3, 2, np.ones((16, 3)))
         with pytest.raises(InstanceTooLargeError):
             check_ejr_bruteforce(e, Committee(frozenset({0, 1})))
+
+
+@st.composite
+def outcomes(draw):
+    """(election, committee) with n <= 10 and m <= 8: 0/1 ballots half the
+    time, and the committee of an online rule, of `mes`, or a random k-set."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(3, 8))
+    k = draw(st.integers(2, m - 1))
+    if draw(st.booleans()):
+        value = st.sampled_from([0.0, 1.0])
+    else:
+        value = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
+    rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n))
+    election = Election.from_rows(rows, k)
+    order = draw(st.permutations(range(m)))
+    source = draw(st.sampled_from((*ONLINE_RULE_IDS, "mes", "random")))
+    if source == "mes":
+        committee, _ = mes(election)
+    elif source == "random":
+        committee = Committee(frozenset(order[:k]))
+    else:
+        committee = run_rule(source, election, ArrivalOrder(order))
+    return election, committee
+
+
+class TestLattice:
+    """The checkers imply one another, so each is an oracle for the others.
+    Strong JR => JR is left out: the strong JR checker takes its group
+    maximum over every voter at the threshold, served or not."""
+
+    @given(outcomes())
+    @settings(max_examples=100, deadline=None)
+    def test_implications(self, outcome):
+        election, committee = outcome
+        jr = check_jr(election, committee)
+        ejr = check_ejr_bruteforce(election, committee)
+        if election.is_approval:
+            plus = check_ejr_plus_approval(election, committee)
+            assert jr.witnesses == tuple(w for w in plus.witnesses if w.alphas == (1.0,))
+            assert ejr.satisfied or not plus.satisfied
+            assert jr.satisfied or not ejr.satisfied
+            _, trace = mes(election)
+            assert check_ejr_bruteforce(election, Committee(trace.core_members())).satisfied
+        if ejr.satisfied:
+            for relaxation in (
+                {"beta": 1.0}, {"beta": 1.7}, {"gamma": 0}, {"gamma": 1},
+                {"delta": 1.0}, {"delta": 1.6},
+            ):
+                assert check_ejr_bruteforce(election, committee, **relaxation).satisfied
 
 
 class TestMakeCounterexample:

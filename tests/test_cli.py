@@ -169,7 +169,7 @@ class TestCheck:
             ["check", "strong-jr", "--instance", instance_file, "--committee", "3 4 6"]
         )
         assert code == 0
-        capsys.readouterr()
+        assert capsys.readouterr().out == "strong-jr: satisfied\n"
 
 
 class TestSample:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,31 @@ class TestElection:
     def test_score_cap_boundary_allowed(self):
         e = Election.from_rows([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0]], 2, score_cap=2.0)
         assert e.score_cap == 2.0
+
+
+
+class TestIsApproval:
+    def test_detection(self, showcase):
+        assert not showcase.is_approval
+        assert Election.from_rows([[1, 0, 1], [0, 1, 0]], 2).is_approval
+
+    def test_one_half_entry(self):
+        assert not Election.from_rows([[1, 0, 1], [0, 0.5, 0]], 2).is_approval
+
+    def test_all_zero_column(self):
+        assert Election.from_rows([[1, 0, 0], [0, 0, 1]], 2).is_approval
+
+    def test_replace_recomputes(self):
+        # exp2 rescopes each election with dataclasses.replace; the copy must
+        # read its own matrix, not a value cached on the original.
+        e = Election.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]], 2)
+        assert e.is_approval
+        scoped = dataclasses.replace(e, committee_size=3)
+        assert scoped.committee_size == 3
+        assert scoped.is_approval
+        halved = dataclasses.replace(e, utilities=e.utilities / 2)
+        assert not halved.is_approval
+        assert e.is_approval
 
 
 class TestArrivalOrder:

@@ -27,7 +27,6 @@ from streamelect.harness import (
     single_approval_election,
     CSV_FIELDS,
     _culture_of,
-    _is_approval,
     aggregate_best_counts,
     aggregate_exp1,
     aggregate_exp4,
@@ -239,12 +238,6 @@ class TestCultureOf:
         assert _culture_of("normalized-mallows-n5-m8-k2-phi0.6-s1") == "normalized-mallows"
         assert _culture_of("mallows-n5-m8-k2-phi0.6-s1") == "mallows"
         assert _culture_of("riverside-2024.pb/m20") == "riverside"
-
-
-class TestIsApproval:
-    def test_detection(self, showcase):
-        assert not _is_approval(showcase)
-        assert _is_approval(Election.from_rows([[1, 0, 1], [0, 1, 0]], 2))
 
 
 class TestExperiments:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from streamelect import (
     ArrivalOrder,
+    Committee,
     Decision,
     Election,
     InstanceTooLargeError,
     bos,
     bounded_overspending_subset,
+    check_ejr_bruteforce,
     equal_shares_subset,
     greedy_budgeting,
     mes,
@@ -273,6 +275,18 @@ class TestMes:
         e = Election.from_rows([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2)
         _, trace = mes(e)
         assert trace.rounds[0].candidate == 0
+
+    def test_cardinal_core_can_fail_ejr(self):
+        # The core satisfies EJR on approval ballots only (see
+        # tests/test_axioms.py::TestLattice); on these cardinal ballots
+        # neither the core nor the completed committee reaches voter 1's
+        # cohesive demand of 2.169 for candidate 3.
+        e = Election.from_rows([[0, 2.38, 2.381, 0], [1.498, 1.829, 0, 2.169]], 2)
+        committee, trace = mes(e)
+        assert committee.sorted_members() == (1, 2)
+        assert trace.core_members() == frozenset({1})
+        assert not check_ejr_bruteforce(e, committee).satisfied
+        assert not check_ejr_bruteforce(e, Committee(trace.core_members())).satisfied
 
 
 class TestBos:
