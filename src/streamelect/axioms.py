@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrivalOrder, Election, InstanceTooLargeError, satisfaction
+from .core import ArrivalOrder, Election, InstanceTooLargeError, members_of, satisfaction
 
 BRUTE_FORCE_VOTER_CAP = 15
 
@@ -137,10 +137,11 @@ def check_ejr_plus_approval(election, committee):
         raise BallotTypeError("EJR+ check requires approval (0/1) ballots")
     n, k = election.num_voters, election.committee_size
     approved_winners = satisfaction(election, committee)
+    members = members_of(committee)
     witnesses = []
     deficits = np.zeros(n)
     for c in range(election.num_candidates):
-        if c in committee.members:
+        if c in members:
             continue
         approvers = election.utilities[:, c] == 1.0
         for ell in range(1, k + 1):
@@ -184,7 +185,8 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
     achieved = satisfaction(election, committee)
     if gamma:
         # k < m, so a valid committee always leaves a candidate outside.
-        outside = [c for c in range(m) if c not in committee.members]
+        members = members_of(committee)
+        outside = [c for c in range(m) if c not in members]
         topped = np.sort(utilities[:, outside], axis=1)[:, ::-1]
         achieved = achieved + topped[:, : int(gamma)].sum(axis=1)
     divisor = beta if beta is not None else 1.0

@@ -49,10 +49,6 @@ def _parse_order(value, num_candidates):
     return ArrivalOrder(tuple(int(t) - 1 for t in tokens))
 
 
-def _print_members(committee):
-    print("committee:", " ".join(str(c + 1) for c in committee.sorted_members()))
-
-
 def cmd_run(args):
     election, embedded = _read_instance(args.instance)
     if args.order is not None:
@@ -62,7 +58,7 @@ def cmd_run(args):
     else:
         order = ArrivalOrder.identity(election.num_candidates)
     committee = run_rule(args.rule, election, order, args.exploration)
-    _print_members(committee)
+    print("committee:", " ".join(str(c + 1) for c in committee.sorted_members()))
     if args.trace:
         for decision in committee.audit:
             verb = "hire" if decision.hired else "pass"

@@ -153,6 +153,11 @@ class Committee:
         return tuple(sorted(self.members))
 
 
+def members_of(committee):
+    """The member set of a Committee or of an iterable of candidate indices."""
+    return frozenset(getattr(committee, "members", committee))
+
+
 def satisfaction(election, committee):
     """Per-voter satisfaction u_i(W) = sum of utilities over committee members.
 
@@ -167,7 +172,7 @@ def satisfaction(election, committee):
         A fresh float64 array of shape (n,): the sum over the members' columns
         in ascending id order, zeros for an empty committee.
     """
-    members = committee.members if isinstance(committee, Committee) else frozenset(committee)
+    members = members_of(committee)
     if len(members) > election.committee_size:
         raise InvalidCommitteeError(
             f"committee has {len(members)} members, bound is {election.committee_size}"

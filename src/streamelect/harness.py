@@ -24,7 +24,14 @@ import numpy as np
 from .axioms import check_ejr_plus_approval, check_jr
 from .core import Election, random_order, satisfaction
 from .io import bundled_ballot_files, divisor_committee_size, parse_pabulib, read_native, to_election
-from .metrics import FIELDS, MetricBundle, compute_metrics, relative_to_baseline
+from .metrics import (
+    FIELDS,
+    HIGHER_BETTER,
+    LOWER_BETTER,
+    MetricBundle,
+    compute_metrics,
+    relative_to_baseline,
+)
 from .rules_offline import mes, nash_optimum_bruteforce, nash_welfare
 from .rules_online import ONLINE_RULE_IDS, online_mes, run_rule
 from .samplers import CULTURES, SampleSpec, proportional_quota, sample
@@ -38,24 +45,8 @@ SETTINGS = {
     "thm-mes": ("orders", "base_seed", "p"),
     "thm-nash": ("instances", "orders", "base_seed"),
 }
-EXPERIMENTS = tuple(SETTINGS)
 
 ALL_RULE_IDS = ONLINE_RULE_IDS + ("offline-mes",)
-
-CSV_FIELDS = (
-    "instance",
-    "rule",
-    "seed",
-    "k",
-    "committee",
-    *FIELDS,
-    "jr_satisfied",
-    "ejr_plus_share",
-    "ejr_plus_shortfall",
-    "ejr_plus_witnesses",
-    "quota_deserved",
-    "quota_received",
-)
 
 # Desk-scale grid for the sampled-culture experiment.
 EXP3_VOTERS = (5, 10, 20, 50)
@@ -73,7 +64,8 @@ EXP4_RATE = (0.3, 1.0)
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One (instance, rule, arrival seed) evaluation."""
+    """One (instance, rule, arrival seed) evaluation. Its fields, in order,
+    are the CSV columns, with `metrics` spelled out and `duration` left out."""
 
     instance: str
     rule: str
@@ -90,31 +82,27 @@ class RunRecord:
     duration: float = 0.0
 
     def csv_row(self):
-        def fmt(value):
-            if value is None:
-                return ""
-            if isinstance(value, bool):
-                return "1" if value else "0"
-            if isinstance(value, float):
-                return repr(value)
-            return str(value)
+        cells = {**vars(self), **vars(self.metrics)}
+        cells["committee"] = " ".join(str(c + 1) for c in self.committee)
+        return ",".join(_csv_cell(cells[name]) for name in CSV_FIELDS)
 
-        committee = " ".join(str(c + 1) for c in self.committee)
-        cells = (
-            self.instance,
-            self.rule,
-            self.seed,
-            self.k,
-            committee,
-            *self.metrics.as_row(),
-            self.jr_satisfied,
-            self.ejr_plus_share,
-            self.ejr_plus_shortfall,
-            self.ejr_plus_witnesses,
-            self.quota_deserved,
-            self.quota_received,
-        )
-        return ",".join(fmt(c) for c in cells)
+
+CSV_FIELDS = tuple(
+    name
+    for field in dataclasses.fields(RunRecord)
+    if field.name != "duration"
+    for name in (FIELDS if field.name == "metrics" else (field.name,))
+)
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -319,27 +307,32 @@ def _instances(cfg, skipped):
             yield spec.instance_id(), sample(spec), spec
 
 
+def _by_rule(records, rules, present=None):
+    """Yield (rule, its records) for each of `rules` in order, keeping only
+    the records whose field `present` is not None and skipping a rule that
+    keeps none."""
+    for rule in rules:
+        mine = [
+            r
+            for r in records
+            if r.rule == rule and (present is None or getattr(r, present) is not None)
+        ]
+        if mine:
+            yield rule, mine
+
+
 def aggregate_exp1(records):
     """Mean EJR+ violation share, shortfall, and witness count per rule."""
-    rows = []
-    for rule in ALL_RULE_IDS:
-        mine = [r for r in records if r.rule == rule and r.ejr_plus_share is not None]
-        if not mine:
-            continue
-        rows.append(
-            {
-                "rule": rule,
-                "mean_share": sum(r.ejr_plus_share for r in mine) / len(mine),
-                "mean_shortfall": sum(r.ejr_plus_shortfall for r in mine) / len(mine),
-                "mean_witnesses": sum(r.ejr_plus_witnesses for r in mine) / len(mine),
-                "runs": len(mine),
-            }
-        )
-    return rows
-
-
-HIGHER_BETTER = ("average_satisfaction", "bottom_quartile_mean", "nash_welfare")
-LOWER_BETTER = ("exclusion_ratio", "gini")
+    return [
+        {
+            "rule": rule,
+            "mean_share": sum(r.ejr_plus_share for r in mine) / len(mine),
+            "mean_shortfall": sum(r.ejr_plus_shortfall for r in mine) / len(mine),
+            "mean_witnesses": sum(r.ejr_plus_witnesses for r in mine) / len(mine),
+            "runs": len(mine),
+        }
+        for rule, mine in _by_rule(records, ALL_RULE_IDS, "ejr_plus_share")
+    ]
 
 
 def aggregate_best_counts(records):
@@ -439,10 +432,7 @@ def aggregate_exp4(records):
     """Underperformance share, conditional mean deficit, and the largest
     per-instance mean deficit, per online rule."""
     rows = []
-    for rule in ONLINE_RULE_IDS:
-        mine = [r for r in records if r.rule == rule and r.quota_deserved is not None]
-        if not mine:
-            continue
+    for rule, mine in _by_rule(records, ONLINE_RULE_IDS, "quota_deserved"):
         deficits = [max(0, r.quota_deserved - r.quota_received) for r in mine]
         failing = [d for d in deficits if d > 0]
         per_instance = {}
@@ -454,7 +444,7 @@ def aggregate_exp4(records):
                 "rule": rule,
                 "underperformance": len(failing) / len(deficits),
                 "mean_deficit": sum(failing) / len(failing) if failing else 0.0,
-                "max_deficit": max(instance_means) if instance_means else 0.0,
+                "max_deficit": max(instance_means),
                 "runs": len(deficits),
             }
         )
@@ -503,12 +493,10 @@ def run_experiment(cfg):
 
 
 def _aggregate_timing(records):
-    rows = []
-    for rule in ALL_RULE_IDS:
-        durations = [r.duration for r in records if r.rule == rule]
-        if durations:
-            rows.append({"rule": rule, "mean_seconds": sum(durations) / len(durations)})
-    return rows
+    return [
+        {"rule": rule, "mean_seconds": sum(r.duration for r in mine) / len(mine)}
+        for rule, mine in _by_rule(records, ALL_RULE_IDS)
+    ]
 
 
 def single_approval_election():

@@ -28,6 +28,10 @@ class MetricBundle:
 
 
 FIELDS = tuple(f.name for f in fields(MetricBundle))
+# The satisfaction-scaled metrics, where higher is better, compare with a
+# baseline as ratios; the bounded ones, where lower is better, as differences.
+HIGHER_BETTER = ("average_satisfaction", "bottom_quartile_mean", "nash_welfare")
+LOWER_BETTER = ("exclusion_ratio", "gini")
 
 
 def compute_metrics(sat):
@@ -62,24 +66,18 @@ def compute_metrics(sat):
     )
 
 
-def _ratio(value, base):
+def _relative(name, value, base):
+    if name in LOWER_BETTER:
+        return value - base
     if base == 0.0:
         return 1.0 if value == 0.0 else float("inf")
     return value / base
 
 
 def relative_to_baseline(bundle, baseline):
-    """Compare a bundle against a baseline bundle, componentwise.
-
-    Satisfaction-scaled metrics (average, bottom quartile, Nash welfare)
-    become ratios bundle/baseline with the conventions 0/0 = 1 and
-    x/0 = +inf for x > 0; the bounded metrics (gini, exclusion ratio) become
+    """Compare a bundle against a baseline bundle, componentwise: the
+    HIGHER_BETTER metrics become ratios bundle/baseline with the conventions
+    0/0 = 1 and x/0 = +inf for x > 0; the LOWER_BETTER metrics become
     differences bundle - baseline.
     """
-    return MetricBundle(
-        average_satisfaction=_ratio(bundle.average_satisfaction, baseline.average_satisfaction),
-        exclusion_ratio=bundle.exclusion_ratio - baseline.exclusion_ratio,
-        bottom_quartile_mean=_ratio(bundle.bottom_quartile_mean, baseline.bottom_quartile_mean),
-        gini=bundle.gini - baseline.gini,
-        nash_welfare=_ratio(bundle.nash_welfare, baseline.nash_welfare),
-    )
+    return MetricBundle(*map(_relative, FIELDS, bundle.as_row(), baseline.as_row()))

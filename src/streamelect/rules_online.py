@@ -1,10 +1,12 @@
 """The four streaming committee rules.
 
 Each rule consumes the arrival stream of an election, decides hire or reject
-irrevocably at every position, and returns a Committee whose audit holds one
-Decision per arrival position. A shared safeguard guarantees exactly k
-members: whenever the number of remaining arrivals equals the number of open
-seats, everyone still in the stream is hired.
+irrevocably at every position, and returns a Committee of exactly k members
+whose audit holds one Decision per arrival position. Greedy, online-mes and
+online-bos share one seating loop, `_seat`: whenever the number of remaining
+arrivals equals the number of open seats, everyone still in the stream is
+hired as `safeguard`. Online-nash needs no safeguard, because each of its k
+segments hires exactly one candidate.
 """
 
 from __future__ import annotations
@@ -33,6 +35,31 @@ def _exploration_length(m, exploration):
     return t
 
 
+def _seat(election, order, decide, snapshot=lambda: None):
+    """The seating loop of greedy and the displacement rules: once k members
+    are hired, every later arrival is rejected as `committee-full`; while the
+    remaining arrivals equal the open seats, each is hired as `safeguard`.
+    `decide(position, candidate, column)` returns the Decision on any other
+    arrival, and `snapshot()` the running sample recorded on the two
+    seating entries.
+    """
+    m = election.num_candidates
+    k = election.committee_size
+    members = []
+    audit = []
+    for position, c, column in stream(election, order):
+        full = len(members) == k
+        if full or m - position + 1 == k - len(members):
+            reason = "committee-full" if full else "safeguard"
+            decision = Decision(position, c, not full, reason, sample=snapshot())
+        else:
+            decision = decide(position, c, column)
+        if decision.hired:
+            members.append(c)
+        audit.append(decision)
+    return Committee(frozenset(members), tuple(audit))
+
+
 def greedy_budgeting(election, order):
     """Pay-as-you-go hiring against equal voter budgets.
 
@@ -50,36 +77,20 @@ def greedy_budgeting(election, order):
     Committee with one Decision per arrival.
     """
     n = election.num_voters
-    m = election.num_candidates
     k = election.committee_size
     budgets = np.full(n, k / n)
-    members = []
-    audit = []
-    for position, c, column in stream(election, order):
-        if len(members) == k:
-            audit.append(Decision(position, c, False, "committee-full"))
-            continue
-        if m - position + 1 == k - len(members):
-            members.append(c)
-            audit.append(Decision(position, c, True, "safeguard"))
-            continue
+
+    def decide(position, c, column):
+        nonlocal budgets
         supporters = np.nonzero(column > 0.0)[0]
         key = _round_key(budgets[supporters], None, False)
         if key is None:
-            audit.append(Decision(position, c, False, "insufficient-budget"))
-            continue
+            return Decision(position, c, False, "insufficient-budget")
         payments, budgets = _charge(budgets, supporters, None, key)
-        members.append(c)
-        audit.append(
-            Decision(
-                position,
-                c,
-                True,
-                "affordable",
-                payments=tuple((int(i), float(payments[i])) for i in supporters),
-            )
-        )
-    return Committee(frozenset(members), tuple(audit))
+        paid = tuple((int(i), float(payments[i])) for i in supporters)
+        return Decision(position, c, True, "affordable", payments=paid)
+
+    return _seat(election, order, decide)
 
 
 def _displacement_rule(election, order, exploration, subset_rule):
@@ -111,41 +122,30 @@ def _displacement_rule(election, order, exploration, subset_rule):
     t = _exploration_length(m, exploration)
     arrivals = order.permutation
     dummies = tuple(range(m, m + max(0, k - t)))
-    members = []
-    audit = []
     reference = running = None
     cache = _EngineCache()
-    for position, c, _column in stream(election, order):
-        snap = tuple(sorted(running)) if running is not None else None
-        if len(members) == k:
-            audit.append(Decision(position, c, False, "committee-full", sample=snap))
-            continue
-        if m - position + 1 == k - len(members):
-            members.append(c)
-            audit.append(Decision(position, c, True, "safeguard", sample=snap))
-            continue
+
+    def snapshot():
+        return tuple(sorted(running)) if running is not None else None
+
+    def decide(position, c, _column):
+        nonlocal reference, running
         if position <= t:
-            audit.append(Decision(position, c, False, "exploration"))
-            continue
+            return Decision(position, c, False, "exploration")
         if running is None:
             reference, _ = subset_rule(election, arrivals[:t] + dummies, cache)
             running = set(reference)
         winners, _ = subset_rule(election, tuple(running) + (c,), cache)
         (excluded,) = (running | {c}) - winners
         if excluded == c:
-            snap = tuple(sorted(running))
-            audit.append(Decision(position, c, False, "self-excluded", sample=snap))
-            continue
+            return Decision(position, c, False, "self-excluded", sample=snapshot())
         hired = excluded in reference
-        if hired:
-            members.append(c)
-            reason = "displaced-reference"
-        else:
-            reason = "displaced-running"
         running.remove(excluded)
         running.add(c)
-        audit.append(Decision(position, c, hired, reason, sample=tuple(sorted(running))))
-    return Committee(frozenset(members), tuple(audit))
+        reason = "displaced-reference" if hired else "displaced-running"
+        return Decision(position, c, hired, reason, sample=snapshot())
+
+    return _seat(election, order, decide, snapshot)
 
 
 def online_mes(election, order, exploration=None):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Election, seeded_rng
+from .core import Election, members_of, seeded_rng
 
 # The SampleSpec parameters each culture reads; any other must stay None.
 CULTURE_PARAMETERS = {
@@ -206,7 +206,8 @@ def proportional_quota(spec, committee):
     """Representation owed to and received by group A on a polarized instance.
 
     deserved = floor(x k), the weakest reading of "at least an x-share of
-    the committee"; received = committee members from the first half.
+    the committee"; received = committee members from the first half. The
+    committee is a Committee or an iterable of candidate indices.
 
     Returns
     -------
@@ -216,7 +217,7 @@ def proportional_quota(spec, committee):
         raise ValueError(f"spec has culture {spec.culture!r}, expected 'polarized'")
     half = spec.num_candidates // 2
     deserved = int(spec.x * spec.committee_size + 1e-9)
-    received = sum(1 for c in committee.members if c < half)
+    received = sum(1 for c in members_of(committee) if c < half)
     return deserved, received
 
 

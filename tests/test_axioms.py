@@ -1,5 +1,7 @@
 """Axiom checkers and adversarial constructions."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,11 @@ from streamelect import (
     make_counterexample,
     mes,
     run_rule,
+    sample,
     satisfaction,
 )
 from streamelect.axioms import CONSTRUCTION_IDS, DOCUMENTED_ORDERS
+from streamelect.samplers import SampleSpec, proportional_quota
 
 from conftest import random_approval_election
 
@@ -43,6 +47,27 @@ def two_camps():
 def test_checkers_reject_invalid_committees(checker, members):
     with pytest.raises(InvalidCommitteeError):
         checker(two_camps(), Committee(frozenset(members)))
+
+
+POLARIZED = SampleSpec("polarized", 8, 6, 2, seed=3, x=0.5, q=0.5)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_jr,
+        check_strong_jr,
+        check_ejr_plus_approval,
+        functools.partial(check_ejr_bruteforce, gamma=1),
+        lambda _election, committee: proportional_quota(POLARIZED, committee),
+    ],
+    ids=["jr", "strong-jr", "ejr-plus", "ejr-gamma", "quota"],
+)
+def test_plain_iterable_committees(check):
+    """A tuple of candidate indices is read like the matching Committee."""
+    election = sample(POLARIZED)
+    for members in ((0, 1), (3, 4), (2, 5), (5,)):
+        assert check(election, members) == check(election, Committee(frozenset(members)))
 
 
 class TestJr:

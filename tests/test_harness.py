@@ -1,6 +1,7 @@
 """Experiment harness: seeding, configs, records, aggregates, theorem checks."""
 
 import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -337,6 +338,23 @@ def test_csv_matches_golden(experiment, tmp_path):
     records, _, _ = run_experiment(golden_config(experiment, tmp_path))
     expected = (GOLDEN_DIR / f"golden_{experiment}.csv").read_bytes()
     assert records_to_csv(records).encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("experiment", ("exp1", "exp2", "exp3", "exp4"))
+def test_aggregates_match_golden(experiment, tmp_path):
+    """The aggregate tables, timing aside, equal the committed ones in row
+    and column order, with every value to a relative 1e-12 (so counts and
+    strings exactly), since sum() of floats is compensated from Python 3.12
+    on."""
+    _, aggregates, _ = run_experiment(golden_config(experiment, tmp_path))
+    del aggregates["timing"]
+    golden = json.loads((GOLDEN_DIR / "golden_aggregates.json").read_text(encoding="utf-8"))
+    expected = golden[experiment]
+    assert list(aggregates) == list(expected)
+    for name, rows in aggregates.items():
+        assert [list(row) for row in rows] == [list(row) for row in expected[name]]
+        for row, want in zip(rows, expected[name]):
+            assert row == pytest.approx(want, rel=1e-12)
 
 
 class TestAggregates:

@@ -11,7 +11,7 @@ from streamelect import (
     relative_to_baseline,
     satisfaction,
 )
-from streamelect.metrics import FIELDS
+from streamelect.metrics import FIELDS, HIGHER_BETTER, LOWER_BETTER
 
 
 class TestComputeMetrics:
@@ -62,6 +62,9 @@ class TestComputeMetrics:
 
 
 class TestRelativeToBaseline:
+    def test_directions_split_the_fields(self):
+        assert sorted(HIGHER_BETTER + LOWER_BETTER) == sorted(FIELDS)
+
     def test_identity(self):
         bundle = compute_metrics((0, 1, 2, 3))
         rel = relative_to_baseline(bundle, bundle)

@@ -1,12 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from streamelect import (
     ArrivalOrder,
     Decision,
     Election,
+    check_jr,
     greedy_budgeting,
     online_bos,
     online_mes,
@@ -291,3 +295,87 @@ class TestFeasibilityEverywhere:
             committee = run_rule(rule, e, order)
             hired = {d.candidate for d in committee.audit if d.hired}
             assert hired == committee.members
+
+
+def ballots(draw, n, m, dense=False):
+    """n rows of m utilities: 0/1 half the time, else non-negative cardinal;
+    `dense` makes about four entries in five positive."""
+    zeros = [0.0] if dense else [0.0] * 4
+    if draw(st.booleans()):
+        value = st.sampled_from(zeros + [1.0] * 4)
+    else:
+        value = st.one_of(st.sampled_from(zeros), st.floats(0.01, 5.0))
+    return draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+@st.composite
+def instances(draw):
+    """(election, order) with n <= 8 and m <= 9."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(3, 9))
+    k = draw(st.integers(2, m - 1))
+    order = draw(st.permutations(range(m)))
+    return Election.from_rows(ballots(draw, n, m), k), ArrivalOrder(order)
+
+
+@st.composite
+def explored_instances(draw):
+    """(election, order, t) with k <= 3 and an exploration length t in
+    [k, m - k), so the reference needs no dummies and at least one arrival
+    after it is compared with the running sample."""
+    k = draw(st.integers(2, 3))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(2 * k + 1, 10))
+    t = draw(st.integers(k, m - k - 1))
+    order = draw(st.permutations(range(m)))
+    return Election.from_rows(ballots(draw, n, m, dense=True), k), ArrivalOrder(order), t
+
+
+class TestAuditContracts:
+    """The documented audit contracts of the four online rules, on small
+    random elections and orders."""
+
+    @given(instances(), st.sampled_from(ONLINE_RULE_IDS))
+    @settings(max_examples=150, deadline=None)
+    def test_contracts(self, instance, rule):
+        election, order = instance
+        m, k = election.num_candidates, election.committee_size
+        committee = run_rule(rule, election, order)
+        audit = committee.audit
+        assert len(committee.members) == k
+        assert [d.position for d in audit] == list(range(1, m + 1))
+        assert [d.candidate for d in audit] == list(order.permutation)
+        hires = [i for i, d in enumerate(audit) if d.hired]
+        assert committee.members == {audit[i].candidate for i in hires}
+        # committee-full is exactly the suffix after the k-th hire; online-nash
+        # records segment-filled there instead.
+        full = [i for i, d in enumerate(audit) if d.reason == "committee-full"]
+        assert full == ([] if rule == "online-nash" else list(range(hires[-1] + 1, m)))
+        assert not any(audit[i].hired for i in full)
+        for i, d in enumerate(audit):
+            if d.reason == "safeguard":
+                assert d.hired
+                assert m - i == k - sum(1 for j in hires if j < i)
+        if rule == "greedy":
+            assert check_jr(election, committee).satisfied
+        rerun = run_rule(rule, election, order)
+        assert (rerun.members, rerun.audit) == (committee.members, audit)
+
+    # Most runs need completion in some equal-shares call, usually for the
+    # last seat, and are filtered out.
+    @given(explored_instances())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_bos_equals_mes_without_completion(self, instance):
+        """When no equal-shares call of an online-mes run needs completion,
+        bounded overspending never overspends, so online-bos decides alike."""
+        election, order, t = instance
+        completions = []
+
+        def recording(election, candidates, cache):
+            members, trace = equal_shares_subset(election, candidates, cache)
+            completions.append(trace.completion_added)
+            return members, trace
+
+        with mock.patch.object(rules_online, "equal_shares_subset", recording):
+            mes_run = online_mes(election, order, t)
+        assume(not any(completions))
+        bos_run = online_bos(election, order, t)
+        assert (bos_run.members, bos_run.audit) == (mes_run.members, mes_run.audit)
