@@ -285,22 +285,22 @@ def make_counterexample(construction, k=2, epsilon=0.1, beta=None):
         for i in range(k):
             rows[i, i] = 1.0 - epsilon
             rows[i, k:] = beta / k
-        election = Election(k, 2 * k, k, rows, score_cap=beta)
+        election = Election(rows, k, score_cap=beta)
     elif construction == "ejr-gamma":
         rows = np.zeros((k, k * k + k))
         for i in range(k):
             for j in range(k):
                 rows[i, i * k + j] = (2.0**j) * epsilon
             rows[i, k * k :] = (2.0 ** (k + 1)) * epsilon
-        election = Election(k, k * k + k, k, rows, score_cap=(2.0 ** (k + 1)) * epsilon)
+        election = Election(rows, k, score_cap=(2.0 ** (k + 1)) * epsilon)
     elif construction == "delta-ejr":
         row = np.zeros((1, 2 * k))
         for j in range(k):
             row[0, j] = 1.0 + (j + 1) * epsilon
         row[0, k:] = 1.0 + epsilon * ((k + 1) / 2 + 1 / k)
-        election = Election(1, 2 * k, k, row, score_cap=1.0 + k * epsilon)
+        election = Election(row, k, score_cap=1.0 + k * epsilon)
     else:
-        election = Election.from_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]], 2)
+        election = Election([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]], 2)
     staged = DOCUMENTED_ORDERS.get((construction, election.committee_size))
     if staged is not None:
         return election, ArrivalOrder(staged)

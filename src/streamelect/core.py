@@ -35,42 +35,43 @@ def seeded_rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def check_size(n, m, k):
+    """Refuse an election size outside n >= 1, m >= 1 and 2 <= k < m."""
+    if n < 1 or m < 1:
+        raise ValueError(f"counts must be positive, got n={n}, m={m}")
+    if not 2 <= k < m:
+        raise ValueError(f"committee size must satisfy 2 <= k < m, got k={k}, m={m}")
+
+
 @dataclass(frozen=True)
 class Election:
     """An election with cardinal ballots.
 
     Parameters
     ----------
-    num_voters : int
-        Number of voters n, at least 1.
-    num_candidates : int
-        Number of candidates m.
-    committee_size : int
-        Committee bound k with 2 <= k < m.
     utilities : array-like of shape (n, m)
         Non-negative finite utilities; ``utilities[i][j]`` is voter i's value
-        for candidate j. Voter satisfaction is additive over committees.
+        for candidate j. Voter satisfaction is additive over committees. The
+        shape gives the number of voters `num_voters` (n, at least 1) and of
+        candidates `num_candidates` (m).
+    committee_size : int
+        Committee bound k with 2 <= k < m.
     score_cap : float, optional
         Upper bound B on all utilities (range ballots), if any.
     """
 
-    num_voters: int
-    num_candidates: int
-    committee_size: int
     utilities: np.ndarray
+    committee_size: int
     score_cap: float | None = None
+    num_voters: int = field(init=False)
+    num_candidates: int = field(init=False)
 
     def __post_init__(self):
-        n, m, k = self.num_voters, self.num_candidates, self.committee_size
-        if n < 1:
-            raise ValueError(f"need at least one voter, got n={n}")
-        if m < 1:
-            raise ValueError(f"need at least one candidate, got m={m}")
-        if not 2 <= k < m:
-            raise ValueError(f"committee size must satisfy 2 <= k < m, got k={k}, m={m}")
         matrix = np.asarray(self.utilities, dtype=np.float64)
-        if matrix.shape != (n, m):
-            raise ValueError(f"utilities must have shape ({n}, {m}), got {matrix.shape}")
+        if matrix.ndim != 2:
+            raise ValueError(f"utilities must be a 2-D matrix, got shape {matrix.shape}")
+        n, m = matrix.shape
+        check_size(n, m, self.committee_size)
         if not np.all(np.isfinite(matrix)):
             raise ValueError("utilities must be finite")
         if np.any(matrix < 0):
@@ -82,13 +83,8 @@ class Election:
                 raise ValueError(f"utilities exceed the score cap {self.score_cap}")
         matrix.setflags(write=False)
         object.__setattr__(self, "utilities", matrix)
-
-    @classmethod
-    def from_rows(cls, rows, committee_size, score_cap=None):
-        """Build an election from a sequence of per-voter utility rows."""
-        matrix = np.asarray(rows, dtype=np.float64)
-        n, m = matrix.shape
-        return cls(n, m, committee_size, matrix, score_cap)
+        object.__setattr__(self, "num_voters", n)
+        object.__setattr__(self, "num_candidates", m)
 
     @cached_property
     def is_approval(self):

@@ -148,8 +148,9 @@ class ExperimentConfig:
 
 
 def parse_config(text):
-    """Parse the flat key=value config format (repeated source= lines); a
-    key its experiment does not read is refused with its line number."""
+    """Parse the flat key=value config format (repeated source= lines); an
+    unknown experiment, a repeated key other than source, and a key its
+    experiment does not read are refused with their line numbers."""
     values = {}
     sources = []
     lines = {}
@@ -161,6 +162,8 @@ def parse_config(text):
             raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in lines and key != "source":
+            raise ValueError(f"config line {lineno}: repeated key {key!r}")
         if key == "source":
             sources.append(value)
         elif key == "divisors":
@@ -175,9 +178,11 @@ def parse_config(text):
     experiment = values.get("experiment")
     if experiment is None:
         raise ValueError("config must set experiment=")
+    if experiment not in SETTINGS:
+        raise ValueError(f"config line {lines['experiment']}: unknown experiment: {experiment!r}")
     for key, lineno in lines.items():
         field = "sources" if key == "source" else key
-        if experiment in SETTINGS and field not in ("experiment", *SETTINGS[experiment]):
+        if field not in ("experiment", *SETTINGS[experiment]):
             raise ValueError(f"config line {lineno}: {experiment} does not read {key}")
     return ExperimentConfig(sources=tuple(sources), **values)
 
@@ -505,11 +510,10 @@ def single_approval_election():
     supporters (so each is exactly affordable), every other candidate gets
     none."""
     m, k, per = 40, 3, 10
-    n = per * k
-    matrix = np.zeros((n, m))
+    matrix = np.zeros((per * k, m))
     for c in range(k):
         matrix[per * c : per * (c + 1), c] = 1.0
-    return Election(n, m, k, matrix)
+    return Election(matrix, k)
 
 
 @dataclass(frozen=True)
@@ -538,9 +542,7 @@ def verify_thm_mes(cfg):
     """
     election = single_approval_election()
     k = election.committee_size
-    committee, trace = mes(election)
-    if trace.completion_added:
-        raise ValueError("theorem check needs an instance solved without completion")
+    committee, _ = mes(election)
     winners = sorted(committee.members)
     if cfg.p >= k:
         return MesTheoremReport({}, 0.0, 1.0, 1.0, cfg.p, 0, vacuous=True, passed=True)

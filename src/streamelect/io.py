@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ArrivalOrder, Election
+from .core import ArrivalOrder, Election, check_size
 
 
 class ParseError(ValueError):
@@ -146,14 +146,12 @@ def _check_width(lineno, fields, header):
 def to_election(instance, k):
     """Approval election from a parsed ballot file: voters in file order,
     candidates in PROJECTS order, 0/1 utilities."""
-    m = len(instance.projects)
-    n = len(instance.votes)
     index = {pid: j for j, pid in enumerate(instance.projects)}
-    matrix = np.zeros((n, m))
+    matrix = np.zeros((len(instance.votes), len(instance.projects)))
     for i, approved in enumerate(instance.votes.values()):
         for pid in approved:
             matrix[i, index[pid]] = 1.0
-    return Election(n, m, k, matrix)
+    return Election(matrix, k)
 
 
 def divisor_committee_size(m, divisor):
@@ -198,8 +196,10 @@ def read_native(text):
         cap = float(parts[3]) if len(parts) == 4 else None
     except ValueError:
         raise ParseError(f"line {lineno}: malformed header {head!r}") from None
-    if n < 1 or m < 1:
-        raise ParseError(f"line {lineno}: counts must be positive, got n={n}, m={m}")
+    try:
+        check_size(n, m, k)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
     body = entries[1:]
     order = None
     if body and body[0][1].startswith("order:"):
@@ -235,7 +235,7 @@ def read_native(text):
             bad = int(np.nonzero(invalid.any(axis=1))[0][0])
             raise ParseError(f"line {body[bad][0]}: {problem}")
     try:
-        election = Election(n, m, k, matrix, score_cap=cap)
+        election = Election(matrix, k, score_cap=cap)
     except ValueError as exc:
         raise ParseError(f"line {entries[0][0]}: {exc}") from None
     return election, order

@@ -1,7 +1,9 @@
 """Seeded generators for the synthetic voter cultures.
 
-Every sampler is a pure function of its SampleSpec: the same spec yields the
+`sample` is a pure function of its SampleSpec: the same spec yields the
 same election on every platform (generator contract in core.ORDER_GENERATOR).
+Each culture's sampler takes the seeded generator and the spec and returns
+the utility matrix and its score cap.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Election, members_of, seeded_rng
+from .core import Election, check_size, members_of, seeded_rng
 
 # The SampleSpec parameters each culture reads; any other must stay None.
 CULTURE_PARAMETERS = {
@@ -53,6 +55,7 @@ class SampleSpec:
     def __post_init__(self):
         if self.culture not in CULTURES:
             raise ValueError(f"unknown culture: {self.culture!r}")
+        check_size(self.num_voters, self.num_candidates, self.committee_size)
         for name in ("p", "phi", "x", "q"):
             if getattr(self, name) is not None and name not in CULTURE_PARAMETERS[self.culture]:
                 raise ValueError(f"{self.culture} does not read {name}")
@@ -92,11 +95,10 @@ class SampleSpec:
         return "-".join(parts)
 
 
-def _sample_ic(spec):
+def _sample_ic(rng, spec):
     """Impartial culture: per voter, an approval count from Binomial(m, p),
     uniformly chosen approved candidates, and per-approval utilities of
     round(Normal(150, 140)) clamped into [1, 200] (unapproved stay 0)."""
-    rng = seeded_rng(spec.seed)
     n, m = spec.num_voters, spec.num_candidates
     matrix = np.zeros((n, m))
     for i in range(n):
@@ -106,7 +108,7 @@ def _sample_ic(spec):
         chosen = rng.choice(m, size=count, replace=False)
         scores = np.clip(np.rint(rng.normal(150.0, 140.0, size=count)), 1.0, 200.0)
         matrix[i, chosen] = scores
-    return Election(n, m, spec.committee_size, matrix, score_cap=200.0)
+    return matrix, 200.0
 
 
 def _insertion_ranking(rng, m, phi):
@@ -126,26 +128,6 @@ def _insertion_ranking(rng, m, phi):
                 break
         ranking.insert(position, j)
     return ranking
-
-
-def _mallows_election(spec, phi):
-    rng = seeded_rng(spec.seed)
-    n, m = spec.num_voters, spec.num_candidates
-    matrix = np.zeros((n, m))
-    for i in range(n):
-        ranking = _insertion_ranking(rng, m, phi)
-        for idx, c in enumerate(ranking):
-            matrix[i, c] = 200.0 * (m - 1 - idx) / (m - 1)
-        if spec.noise:
-            matrix[i] = np.clip(matrix[i] + rng.uniform(-10.0, 10.0, size=m), 0.0, 200.0)
-    return Election(n, m, spec.committee_size, matrix, score_cap=200.0)
-
-
-def _sample_mallows(spec):
-    """Mallows culture: rankings from repeated insertion around the identity
-    order; the rank-r candidate scores 200 (m - r) / (m - 1), r = 1 best,
-    plus Uniform(-10, 10) jitter clamped into [0, 200] unless noise=False."""
-    return _mallows_election(spec, spec.phi)
 
 
 def expected_swap_distance(phi, m):
@@ -179,18 +161,30 @@ def dispersion_from_normalized(norm, m):
     return (lo + hi) / 2.0
 
 
-def _sample_normalized_mallows(spec):
-    """Mallows culture with the dispersion given on the normalized scale:
-    phi is mapped so the expected swap distance is spec.phi times the
-    uniform expectation, then sampling proceeds as in _sample_mallows."""
-    return _mallows_election(spec, dispersion_from_normalized(spec.phi, spec.num_candidates))
+def _sample_mallows(rng, spec):
+    """Mallows culture: rankings from repeated insertion around the identity
+    order; the rank-r candidate scores 200 (m - r) / (m - 1), r = 1 best,
+    plus Uniform(-10, 10) jitter clamped into [0, 200] unless noise=False.
+    For normalized-mallows, spec.phi is first mapped to the dispersion whose
+    expected swap distance is that fraction of the uniform expectation."""
+    n, m = spec.num_voters, spec.num_candidates
+    phi = spec.phi
+    if spec.culture == "normalized-mallows":
+        phi = dispersion_from_normalized(phi, m)
+    matrix = np.zeros((n, m))
+    for i in range(n):
+        ranking = _insertion_ranking(rng, m, phi)
+        for idx, c in enumerate(ranking):
+            matrix[i, c] = 200.0 * (m - 1 - idx) / (m - 1)
+        if spec.noise:
+            matrix[i] = np.clip(matrix[i] + rng.uniform(-10.0, 10.0, size=m), 0.0, 200.0)
+    return matrix, 200.0
 
 
-def _sample_polarized(spec):
+def _sample_polarized(rng, spec):
     """Two-bloc approval culture: the first ceil(x n) voters approve every
     first-half candidate; the rest approve each second-half candidate
     independently with probability q."""
-    rng = seeded_rng(spec.seed)
     n, m = spec.num_voters, spec.num_candidates
     half = m // 2
     group_a = math.ceil(spec.x * n - 1e-9)
@@ -199,7 +193,7 @@ def _sample_polarized(spec):
     if group_a < n:
         approvals = rng.random((n - group_a, m - half)) < spec.q
         matrix[group_a:, half:] = approvals.astype(np.float64)
-    return Election(n, m, spec.committee_size, matrix, score_cap=1.0)
+    return matrix, 1.0
 
 
 def proportional_quota(spec, committee):
@@ -224,11 +218,12 @@ def proportional_quota(spec, committee):
 SAMPLERS = {
     "ic": _sample_ic,
     "mallows": _sample_mallows,
-    "normalized-mallows": _sample_normalized_mallows,
+    "normalized-mallows": _sample_mallows,
     "polarized": _sample_polarized,
 }
 
 
 def sample(spec):
     """Draw the election described by a SampleSpec."""
-    return SAMPLERS[spec.culture](spec)
+    matrix, score_cap = SAMPLERS[spec.culture](seeded_rng(spec.seed), spec)
+    return Election(matrix, spec.committee_size, score_cap)

@@ -23,7 +23,7 @@ def showcase_election(k=3):
     """Two-voter, six-candidate election used as the worked example: a
     specialist voter concentrated on candidate 3 and a broader voter spread
     over the rest."""
-    return Election.from_rows([list(r) for r in SHOWCASE_ROWS], k)
+    return Election([list(r) for r in SHOWCASE_ROWS], k)
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ def random_approval_election(rng, max_voters=8, max_candidates=8, max_k=4):
     for i in range(n):
         if not matrix[i].any():
             matrix[i, int(rng.integers(0, m))] = 1.0
-    return Election(n, m, k, matrix)
+    return Election(matrix, k)
 
 
 def random_cardinal_election(rng, max_voters=10, max_candidates=10, max_k=4):
@@ -54,4 +54,4 @@ def random_cardinal_election(rng, max_voters=10, max_candidates=10, max_k=4):
     m = int(rng.integers(3, max_candidates + 1))
     k = int(rng.integers(2, min(max_k, m - 1) + 1))
     matrix = np.round(rng.random((n, m)) * 10.0, 3)
-    return Election(n, m, k, matrix)
+    return Election(matrix, k)

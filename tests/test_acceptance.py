@@ -88,7 +88,7 @@ def small_pool():
             matrix = (rng.random((n, m)) < rng.uniform(0.2, 0.8)).astype(float)
         else:
             matrix = np.round(rng.uniform(0.0, 5.0, (n, m)), 3)
-        pool.append(Election(n, m, k, matrix))
+        pool.append(Election(matrix, k))
     return tuple(pool)
 
 
@@ -363,7 +363,7 @@ def test_criterion_9_io_golden_contracts(tmp_path):
 
     rng = seeded_rng(8080)
     matrix = rng.uniform(0.0, 7.0, (5, 6))
-    election = Election(5, 6, 3, matrix, score_cap=7.0)
+    election = Election(matrix, 3, score_cap=7.0)
     order = ArrivalOrder(tuple(int(c) for c in rng.permutation(6)))
     back, back_order = read_native(write_native(election, order))
     roundtrip_ok = (

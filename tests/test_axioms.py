@@ -33,7 +33,7 @@ from conftest import random_approval_election
 
 def two_camps():
     # v0, v1 approve only c0; v2, v3 approve only c1
-    return Election.from_rows(
+    return Election(
         [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], 2
     )
 
@@ -178,7 +178,7 @@ class TestEjrPlusApproval:
 
     def test_level_two_deficit(self):
         # both voters approve {0, 1} and get neither seat
-        e = Election.from_rows([[1, 1, 0, 0], [1, 1, 0, 0]], 2)
+        e = Election([[1, 1, 0, 0], [1, 1, 0, 0]], 2)
         report = check_ejr_plus_approval(e, Committee(frozenset({2, 3})))
         assert not report.satisfied
         levels = {(w.candidates[0], w.alphas[0]) for w in report.witnesses}
@@ -261,7 +261,7 @@ class TestEjrBruteforce:
             check_ejr_bruteforce(showcase, Committee(frozenset({2, 3, 5})), **kwargs)
 
     def test_voter_cap(self):
-        e = Election(16, 3, 2, np.ones((16, 3)))
+        e = Election(np.ones((16, 3)), 2)
         with pytest.raises(InstanceTooLargeError):
             check_ejr_bruteforce(e, Committee(frozenset({0, 1})))
 
@@ -277,7 +277,7 @@ def outcomes(draw):
     else:
         value = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
     rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n))
-    election = Election.from_rows(rows, k)
+    election = Election(rows, k)
     order = draw(st.permutations(range(m)))
     source = draw(st.sampled_from((*ONLINE_RULE_IDS, "mes", "random")))
     if source == "mes":

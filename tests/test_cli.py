@@ -16,7 +16,7 @@ def instance_file(tmp_path, showcase):
 
 @pytest.fixture
 def camps_file(tmp_path):
-    e = Election.from_rows([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], 2)
+    e = Election([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], 2)
     path = tmp_path / "camps.txt"
     path.write_text(write_native(e))
     return str(path)
@@ -208,6 +208,16 @@ class TestSample:
         )
         assert code == 2
         assert "p in [0, 1]" in capsys.readouterr().err
+
+    def test_impossible_size_is_a_usage_error(self, capsys):
+        code = main(
+            [
+                "sample", "mallows", "--voters", "3", "--candidates", "1",
+                "--committee", "2", "--seed", "1", "--phi", "0.5",
+            ]
+        )
+        assert code == 2
+        assert "error: committee size must satisfy" in capsys.readouterr().err
 
     def test_no_noise_flag(self, capsys):
         code = main(

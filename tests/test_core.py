@@ -32,41 +32,37 @@ class TestElection:
         with pytest.raises(ValueError):
             showcase.utilities[0, 0] = 5.0
 
-    def test_from_rows_matches_direct(self, showcase):
-        direct = Election(2, 6, 3, np.asarray(showcase.utilities))
-        assert np.array_equal(direct.utilities, showcase.utilities)
-
     @pytest.mark.parametrize("k", [0, 1, 6, 7])
     def test_committee_size_bounds(self, k):
         rows = [[1.0] * 6, [1.0] * 6]
         with pytest.raises(ValueError):
-            Election.from_rows(rows, k)
+            Election(rows, k)
 
     def test_minimum_viable_size(self):
-        Election.from_rows([[1.0, 0.0, 1.0]], 2)
+        Election([[1.0, 0.0, 1.0]], 2)
 
     def test_rejects_negative_utilities(self):
         with pytest.raises(ValueError):
-            Election.from_rows([[1.0, -0.1, 0.0], [0.0, 1.0, 1.0]], 2)
+            Election([[1.0, -0.1, 0.0], [0.0, 1.0, 1.0]], 2)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            Election.from_rows([[1.0, float("inf"), 0.0], [0.0, 1.0, 1.0]], 2)
+            Election([[1.0, float("inf"), 0.0], [0.0, 1.0, 1.0]], 2)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            Election(2, 3, 2, np.ones((3, 3)))
+            Election(np.ones(3), 2)
 
     def test_score_cap_enforced(self):
         with pytest.raises(ValueError):
-            Election.from_rows([[3.0, 0.0, 0.0], [0.0, 1.0, 1.0]], 2, score_cap=2.0)
+            Election([[3.0, 0.0, 0.0], [0.0, 1.0, 1.0]], 2, score_cap=2.0)
 
     def test_score_cap_must_be_positive(self):
         with pytest.raises(ValueError):
-            Election.from_rows([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 2, score_cap=0.0)
+            Election([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 2, score_cap=0.0)
 
     def test_score_cap_boundary_allowed(self):
-        e = Election.from_rows([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0]], 2, score_cap=2.0)
+        e = Election([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0]], 2, score_cap=2.0)
         assert e.score_cap == 2.0
 
 
@@ -74,18 +70,18 @@ class TestElection:
 class TestIsApproval:
     def test_detection(self, showcase):
         assert not showcase.is_approval
-        assert Election.from_rows([[1, 0, 1], [0, 1, 0]], 2).is_approval
+        assert Election([[1, 0, 1], [0, 1, 0]], 2).is_approval
 
     def test_one_half_entry(self):
-        assert not Election.from_rows([[1, 0, 1], [0, 0.5, 0]], 2).is_approval
+        assert not Election([[1, 0, 1], [0, 0.5, 0]], 2).is_approval
 
     def test_all_zero_column(self):
-        assert Election.from_rows([[1, 0, 0], [0, 0, 1]], 2).is_approval
+        assert Election([[1, 0, 0], [0, 0, 1]], 2).is_approval
 
     def test_replace_recomputes(self):
         # exp2 rescopes each election with dataclasses.replace; the copy must
         # read its own matrix, not a value cached on the original.
-        e = Election.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]], 2)
+        e = Election([[1, 0, 1, 0], [0, 1, 0, 1]], 2)
         assert e.is_approval
         scoped = dataclasses.replace(e, committee_size=3)
         assert scoped.committee_size == 3

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,22 @@ class TestSettings:
         with pytest.raises(ValueError, match=f"^config line 2: {experiment} does not read {key}$"):
             parse_config(text)
 
+    def test_readme_table_matches(self):
+        """The settings table under the README's "## CLI" heading lists
+        SETTINGS: each row's backticked experiments and settings, with the
+        config key `source` standing for the field `sources`."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        table = {}
+        for row in cli.splitlines():
+            cells = row.split("|")[1:-1]
+            if len(cells) != 2 or not cells[0].strip().startswith("`"):
+                continue
+            experiments, settings = (re.findall(r"`([^`]+)`", cell) for cell in cells)
+            fields = tuple("sources" if name == "source" else name for name in settings)
+            table.update(dict.fromkeys(experiments, fields))
+        assert table == SETTINGS
+
     def test_parse_refuses_unread_key_at_its_default(self):
         with pytest.raises(ValueError, match="config line 3: exp4 does not read p"):
             parse_config("experiment=exp4\ninstances=2\np=2\n")
@@ -151,6 +168,9 @@ class TestParseConfig:
             ("experiment=exp1\niterations=abc\n", "config line 2: expected an integer, got 'abc'"),
             ("experiment=exp1\n\ndivisors=4, x\n", "config line 3: expected an integer, got 'x'"),
             ("experiment=thm-mes\nexploration=2\n", "config line 2: unknown key 'exploration'"),
+            ("# exp\nexperiment=exp9\n", "config line 2: unknown experiment: 'exp9'"),
+            ("experiment=exp4\nexperiment=exp3\n", "config line 2: repeated key 'experiment'"),
+            ("experiment=exp1\niterations=3\niterations=7\n", "config line 3: repeated key"),
         ],
     )
     def test_rejects(self, text, match):
@@ -214,7 +234,7 @@ class TestRunCell:
         assert all(r.quota_deserved is None for r in records)
 
     def test_approval_columns_filled(self):
-        e = Election.from_rows(
+        e = Election(
             [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], 2
         )
         records = run_cell("camps", e, seed=1)

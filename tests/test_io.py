@@ -131,7 +131,7 @@ class TestDivisorCommitteeSize:
 
 class TestNativeFormat:
     def test_roundtrip_with_cap_and_order(self):
-        e = Election.from_rows(
+        e = Election(
             [[0.25, 1.5, 0.0], [3.125, 0.0, 2.0]], 2, score_cap=3.5
         )
         order = ArrivalOrder((2, 0, 1))

@@ -107,7 +107,7 @@ class TestExactRho:
     def test_rules_warn_nothing_when_rest_rounds_to_zero(self):
         # Candidate 0's utility sum 1 + 1e-17 rounds to 1, so the remaining
         # utility after voter 0 is 0: the solve sees 0/0 past its answer.
-        e = Election.from_rows([[1.0, 0.0, 1.0], [1e-17, 1.0, 0.0]], 2)
+        e = Election([[1.0, 0.0, 1.0], [1e-17, 1.0, 0.0]], 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mes(e)
@@ -272,7 +272,7 @@ class TestMes:
 
     def test_tie_breaks_to_smaller_index(self):
         # Two identical single-supporter candidates: same rho, pick index 0.
-        e = Election.from_rows([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2)
+        e = Election([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 2)
         _, trace = mes(e)
         assert trace.rounds[0].candidate == 0
 
@@ -281,7 +281,7 @@ class TestMes:
         # tests/test_axioms.py::TestLattice); on these cardinal ballots
         # neither the core nor the completed committee reaches voter 1's
         # cohesive demand of 2.169 for candidate 3.
-        e = Election.from_rows([[0, 2.38, 2.381, 0], [1.498, 1.829, 0, 2.169]], 2)
+        e = Election([[0, 2.38, 2.381, 0], [1.498, 1.829, 0, 2.169]], 2)
         committee, trace = mes(e)
         assert committee.sorted_members() == (1, 2)
         assert trace.core_members() == frozenset({1})
@@ -323,7 +323,7 @@ class TestBos:
             matrix = np.zeros((n, m))
             for c in range(k):
                 matrix[per * c : per * (c + 1), c] = 1.0
-            e = Election(n, m, k, matrix)
+            e = Election(matrix, k)
             m_committee, m_trace = mes(e)
             b_committee, _ = bos(e)
             assert m_trace.completion_added == ()
@@ -345,7 +345,7 @@ class TestUtilitarian:
         assert utilitarian_topk(showcase_k2).sorted_members() == (3, 5)
 
     def test_tie_prefers_smaller_index(self):
-        e = Election.from_rows([[1.0, 1.0, 1.0, 0.0]], 2)
+        e = Election([[1.0, 1.0, 1.0, 0.0]], 2)
         assert utilitarian_topk(e).sorted_members() == (0, 1)
 
 
@@ -377,13 +377,13 @@ class TestNash:
             assert nash_welfare(e, best.members) == pytest.approx(manual[0])
 
     def test_tie_keeps_lexicographically_smallest(self):
-        e = Election.from_rows([[1.0, 1.0, 1.0]], 2)
+        e = Election([[1.0, 1.0, 1.0]], 2)
         committee, _ = nash_optimum_bruteforce(e)
         assert committee.sorted_members() == (0, 1)
 
     def test_enumeration_cap(self):
         matrix = np.ones((2, 60))
-        e = Election(2, 60, 25, matrix)
+        e = Election(matrix, 25)
         with pytest.raises(InstanceTooLargeError):
             nash_optimum_bruteforce(e)
 

@@ -86,7 +86,7 @@ class TestGreedy:
             assert spent <= e.committee_size + 1e-9
 
     def test_zero_supporter_candidate_skipped(self):
-        e = Election.from_rows([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]], 2)
+        e = Election([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]], 2)
         committee = greedy_budgeting(e, ArrivalOrder.identity(3))
         assert committee.audit[0].reason == "insufficient-budget"
         assert committee.sorted_members() == (1, 2)
@@ -139,7 +139,7 @@ class TestDisplacement:
         rng = seeded_rng(22)
         matrix = (rng.random((6, 10)) < 0.5).astype(float)
         matrix[:, 0] = 1.0
-        e = Election(6, 10, 4, matrix)
+        e = Election(matrix, 4)
         committee = online_mes(e, ArrivalOrder.identity(10))
         assert len(committee.members) == 4
 
@@ -249,7 +249,7 @@ class TestOnlineNash:
         # m=14, k=4: segments 4,4,3,3 (first m mod k segments one longer).
         rng = seeded_rng(23)
         matrix = np.round(rng.random((5, 14)) * 5.0, 3)
-        e = Election(5, 14, 4, matrix)
+        e = Election(matrix, 4)
         committee = online_nash(e, ArrivalOrder.identity(14))
         assert len(committee.audit) == 14
         assert len(committee.members) == 4
@@ -258,7 +258,7 @@ class TestOnlineNash:
         # m=9, k=2: segments of 5 and 4, observation int(5/e)=1, int(4/e)=1.
         rng = seeded_rng(24)
         matrix = np.round(rng.random((4, 9)) * 5.0, 3)
-        e = Election(4, 9, 2, matrix)
+        e = Election(matrix, 2)
         committee = online_nash(e, ArrivalOrder.identity(9))
         reasons = [d.reason for d in committee.audit]
         assert reasons[0] == "observation"
@@ -314,7 +314,7 @@ def instances(draw):
     n, m = draw(st.integers(1, 8)), draw(st.integers(3, 9))
     k = draw(st.integers(2, m - 1))
     order = draw(st.permutations(range(m)))
-    return Election.from_rows(ballots(draw, n, m), k), ArrivalOrder(order)
+    return Election(ballots(draw, n, m), k), ArrivalOrder(order)
 
 
 @st.composite
@@ -326,7 +326,7 @@ def explored_instances(draw):
     n, m = draw(st.integers(1, 8)), draw(st.integers(2 * k + 1, 10))
     t = draw(st.integers(k, m - k - 1))
     order = draw(st.permutations(range(m)))
-    return Election.from_rows(ballots(draw, n, m, dense=True), k), ArrivalOrder(order), t
+    return Election(ballots(draw, n, m, dense=True), k), ArrivalOrder(order), t
 
 
 class TestAuditContracts:

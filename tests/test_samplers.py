@@ -1,5 +1,9 @@
 """Synthetic culture samplers and their seeding contract."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +55,16 @@ class TestSampleSpec:
         with pytest.raises(ValueError):
             ic_spec(**overrides)
 
+    @pytest.mark.parametrize("culture", CULTURES)
+    def test_size_refused_before_drawing(self, culture):
+        # Refused by the spec before any draw; drawing 4000 x 2000 Mallows
+        # utilities would take minutes, and m = 1 divides by m - 1.
+        params = {"ic": {"p": 0.5}, "polarized": {"x": 0.5, "q": 0.5}}.get(culture, {"phi": 0.5})
+        with pytest.raises(ValueError, match="committee size must satisfy"):
+            SampleSpec(culture, 4000, 2000, 5000, 1, **params)
+        with pytest.raises(ValueError, match="committee size must satisfy"):
+            SampleSpec(culture, 3, 1, 2, 1, **params)
+
     def test_memory_cap(self):
         with pytest.raises(ValueError):
             ic_spec(num_voters=20_000, num_candidates=2_000)
@@ -84,6 +98,41 @@ class TestDeterminism:
         assert np.array_equal(a.utilities, b.utilities)
         c = sample(SampleSpec(**{**kwargs, "seed": 124}))
         assert not np.array_equal(a.utilities, c.utilities)
+
+
+# A fixed grid over every culture, both noise settings of the Mallows
+# cultures, and the parameter extremes p = 0, p = 1, phi = 1 and x = 1.
+GOLDEN_SPECS = (
+    SampleSpec("ic", 7, 9, 3, seed=11, p=0.4),
+    SampleSpec("ic", 5, 6, 2, seed=3, p=0.0),
+    SampleSpec("ic", 5, 6, 2, seed=3, p=1.0),
+    SampleSpec("mallows", 7, 9, 3, seed=11, phi=0.6),
+    SampleSpec("mallows", 7, 9, 3, seed=11, phi=0.6, noise=False),
+    SampleSpec("mallows", 5, 6, 2, seed=3, phi=1.0),
+    SampleSpec("normalized-mallows", 7, 9, 3, seed=11, phi=0.4),
+    SampleSpec("normalized-mallows", 7, 9, 3, seed=11, phi=0.4, noise=False),
+    SampleSpec("normalized-mallows", 5, 6, 2, seed=3, phi=1.0),
+    SampleSpec("polarized", 7, 9, 3, seed=11, x=0.5, q=0.7),
+    SampleSpec("polarized", 5, 6, 2, seed=3, x=1.0, q=0.5),
+    SampleSpec("polarized", 8, 10, 4, seed=5, x=0.3, q=1.0),
+)
+
+
+def sample_digest(spec):
+    """The sha256 of the drawn matrix's bytes and the score cap."""
+    election = sample(spec)
+    return {
+        "sha256": hashlib.sha256(election.utilities.tobytes()).hexdigest(),
+        "score_cap": election.score_cap,
+    }
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=SampleSpec.instance_id)
+def test_draw_matches_golden(spec):
+    """Every culture draws the same matrix, byte for byte, as the committed
+    tests/data/golden_samples.json."""
+    golden = json.loads((Path(__file__).parent / "data" / "golden_samples.json").read_text())
+    assert sample_digest(spec) == golden[spec.instance_id()]
 
 
 class TestIc:
