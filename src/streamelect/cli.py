@@ -38,15 +38,38 @@ def _read_instance(path):
         return read_native(handle.read())
 
 
+def _read_integers(value):
+    """The integers of a comma- or space-separated list, naming the first
+    token that is not one."""
+    numbers = []
+    for token in value.replace(",", " ").split():
+        try:
+            numbers.append(int(token))
+        except ValueError:
+            raise ValueError(f"expected an integer, got {token!r}") from None
+    return numbers
+
+
+def _zero_based(ids, num_candidates):
+    """Distinct 1-based candidate ids as 0-based ones, naming the first id
+    out of range or repeated."""
+    for i, c in enumerate(ids):
+        if not 1 <= c <= num_candidates:
+            raise ValueError(f"candidate {c} out of range 1..{num_candidates}")
+        if c in ids[:i]:
+            raise ValueError(f"candidate {c} is listed twice")
+    return tuple(c - 1 for c in ids)
+
+
 def _parse_order(value, num_candidates):
     # A single token is a seed; a list of m tokens is an explicit 1-based
     # order (m >= 3 always, so the two cannot collide).
-    tokens = value.replace(",", " ").split()
-    if len(tokens) == 1:
-        return random_order(num_candidates, int(tokens[0]))
-    if len(tokens) != num_candidates:
-        raise ValueError(f"order lists {len(tokens)} candidates, instance has {num_candidates}")
-    return ArrivalOrder(tuple(int(t) - 1 for t in tokens))
+    numbers = _read_integers(value)
+    if len(numbers) == 1:
+        return random_order(num_candidates, numbers[0])
+    if len(numbers) != num_candidates:
+        raise ValueError(f"order lists {len(numbers)} candidates, instance has {num_candidates}")
+    return ArrivalOrder(_zero_based(numbers, num_candidates))
 
 
 def cmd_run(args):
@@ -66,14 +89,6 @@ def cmd_run(args):
     return 0
 
 
-def _committee_from_arg(value, num_candidates):
-    ids = [int(t) for t in value.replace(",", " ").split()]
-    for c in ids:
-        if not 1 <= c <= num_candidates:
-            raise ValueError(f"candidate {c} out of range 1..{num_candidates}")
-    return Committee(frozenset(c - 1 for c in ids))
-
-
 def cmd_check(args):
     relaxations = {}
     for name in ("beta", "gamma", "delta"):
@@ -82,7 +97,8 @@ def cmd_check(args):
                 raise ValueError(f"--{name} relaxes only the ejr check, not {args.axiom}")
             relaxations[name] = getattr(args, name)
     election, _ = _read_instance(args.instance)
-    committee = _committee_from_arg(args.committee, election.num_candidates)
+    ids = _zero_based(_read_integers(args.committee), election.num_candidates)
+    committee = Committee(frozenset(ids))
     report = CHECKERS[args.axiom](election, committee, **relaxations)
     status = "satisfied" if report.satisfied else "violated"
     print(f"{report.axiom}: {status}")

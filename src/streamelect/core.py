@@ -43,9 +43,10 @@ def check_size(n, m, k):
         raise ValueError(f"committee size must satisfy 2 <= k < m, got k={k}, m={m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Election:
-    """An election with cardinal ballots.
+    """An election with cardinal ballots. Elections compare and hash by
+    identity, since their utility matrix is an array.
 
     Parameters
     ----------

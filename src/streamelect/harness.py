@@ -137,6 +137,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1")
         if not self.divisors or any(d < 1 for d in self.divisors):
             raise ValueError(f"divisors must be at least 1, got {self.divisors}")
+        # A divisor and a file's base name make up an instance id, so a
+        # repeat would give two instances one id and one set of seeds.
+        names = tuple(os.path.basename(path) for path in self.sources)
+        for what, values in (("divisor", tuple(self.divisors)), ("source name", names)):
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"repeated {what} {repeats[0]!r}")
         if self.p < 0:
             raise ValueError(f"p must be at least 0, got {self.p}")
         read = SETTINGS[self.experiment]
@@ -249,8 +256,9 @@ def _instances(cfg, skipped):
     exp1 reads ballot files (the bundled ones when no source is configured)
     and exp2 native instances; both take k from each divisor in turn and
     record in `skipped` the divisors that give none. exp3 walks its culture
-    grid and exp4 draws polarized parameters from one Philox stream; both
-    yield the spec they sampled from.
+    grid and exp4 draws polarized parameters from one Philox stream; the
+    i-th of either is sampled from a SampleSpec seeded by "<experiment>-<i>"
+    and its k, and yielded with that spec.
     """
     if cfg.experiment in ("exp1", "exp2"):
         if cfg.sources:
@@ -278,38 +286,27 @@ def _instances(cfg, skipped):
                 else:
                     scoped = dataclasses.replace(election, committee_size=k)
                 yield f"{name}/m{divisor}", scoped, None
-    elif cfg.experiment == "exp3":
+        return
+    if cfg.experiment == "exp3":
         cultures = ("ic", "mallows", "normalized-mallows")
-        cells = list(itertools.product(cultures, EXP3_PARAMS, EXP3_VOTERS, EXP3_PAIRS))
-        for index, (culture, value, n, (m, k)) in enumerate(cells[: cfg.instances]):
-            params = {"p": value} if culture == "ic" else {"phi": value}
-            spec = SampleSpec(
-                culture=culture,
-                num_voters=n,
-                num_candidates=m,
-                committee_size=k,
-                seed=derive_seed(cfg.base_seed, f"exp3-{index}", k, 0),
-                **params,
-            )
-            yield spec.instance_id(), sample(spec), spec
+        grid = itertools.product(cultures, EXP3_PARAMS, EXP3_VOTERS, EXP3_PAIRS)
+        draws = [
+            (culture, n, m, k, {"p" if culture == "ic" else "phi": value})
+            for culture, value, n, (m, k) in itertools.islice(grid, cfg.instances)
+        ]
     else:
         rng = np.random.Generator(np.random.Philox(key=derive_seed(cfg.base_seed, "exp4", 0, 0)))
-        for index in range(cfg.instances):
+        draws = []
+        for _ in range(cfg.instances):
             n = int(rng.integers(EXP4_VOTERS[0], EXP4_VOTERS[1] + 1))
             m = int(rng.integers(EXP4_CANDIDATES[0], EXP4_CANDIDATES[1] + 1))
             k = int(rng.integers(2, m // 2 + 1))
-            x = float(rng.uniform(*EXP4_SHARE))
-            q = float(rng.uniform(*EXP4_RATE))
-            spec = SampleSpec(
-                culture="polarized",
-                num_voters=n,
-                num_candidates=m,
-                committee_size=k,
-                seed=derive_seed(cfg.base_seed, f"exp4-{index}", k, 0),
-                x=x,
-                q=q,
-            )
-            yield spec.instance_id(), sample(spec), spec
+            params = {"x": float(rng.uniform(*EXP4_SHARE)), "q": float(rng.uniform(*EXP4_RATE))}
+            draws.append(("polarized", n, m, k, params))
+    for index, (culture, n, m, k, params) in enumerate(draws):
+        seed = derive_seed(cfg.base_seed, f"{cfg.experiment}-{index}", k, 0)
+        spec = SampleSpec(culture, n, m, k, seed, **params)
+        yield spec.instance_id(), sample(spec), spec
 
 
 def _by_rule(records, rules, present=None):
@@ -326,14 +323,26 @@ def _by_rule(records, rules, present=None):
             yield rule, mine
 
 
+def _cells(records):
+    """Map each (instance, seed) evaluation cell to {rule: metrics}."""
+    cells = {}
+    for record in records:
+        cells.setdefault((record.instance, record.seed), {})[record.rule] = record.metrics
+    return cells
+
+
+def _mean(values):
+    return sum(values) / len(values)
+
+
 def aggregate_exp1(records):
     """Mean EJR+ violation share, shortfall, and witness count per rule."""
     return [
         {
             "rule": rule,
-            "mean_share": sum(r.ejr_plus_share for r in mine) / len(mine),
-            "mean_shortfall": sum(r.ejr_plus_shortfall for r in mine) / len(mine),
-            "mean_witnesses": sum(r.ejr_plus_witnesses for r in mine) / len(mine),
+            "mean_share": _mean([r.ejr_plus_share for r in mine]),
+            "mean_shortfall": _mean([r.ejr_plus_shortfall for r in mine]),
+            "mean_witnesses": _mean([r.ejr_plus_witnesses for r in mine]),
             "runs": len(mine),
         }
         for rule, mine in _by_rule(records, ALL_RULE_IDS, "ejr_plus_share")
@@ -342,46 +351,29 @@ def aggregate_exp1(records):
 
 def aggregate_best_counts(records):
     """Share of evaluation cells where each online rule is best, among the
-    two best, and worst, per metric; ties are credited to every tied rule."""
-    cells = {}
-    for record in records:
-        if record.rule == "offline-mes":
-            continue
-        cells.setdefault((record.instance, record.seed), {})[record.rule] = record.metrics
-    counts = {
-        (metric, rule): {"best": 0, "top2": 0, "worst": 0}
-        for metric in HIGHER_BETTER + LOWER_BETTER
-        for rule in ONLINE_RULE_IDS
-    }
-    total = 0
-    for bundles in cells.values():
-        if len(bundles) < len(ONLINE_RULE_IDS):
-            continue
-        total += 1
-        for metric in HIGHER_BETTER + LOWER_BETTER:
-            sign = 1.0 if metric in HIGHER_BETTER else -1.0
-            scored = {rule: sign * getattr(b, metric) for rule, b in bundles.items()}
-            values = sorted(set(scored.values()), reverse=True)
-            second = values[1] if len(values) > 1 else values[0]
-            for rule, score in scored.items():
-                slot = counts[(metric, rule)]
-                if score == values[0]:
-                    slot["best"] += 1
-                if score >= second:
-                    slot["top2"] += 1
-                if score == values[-1]:
-                    slot["worst"] += 1
+    two best, and worst, per metric; ties are credited to every tied rule.
+    Only the cells that hold all four online rules count."""
+    cells = [c for c in _cells(records).values() if all(rule in c for rule in ONLINE_RULE_IDS)]
+    if not cells:
+        return []
     rows = []
-    for (metric, rule), slot in counts.items():
-        if total:
+    for metric in HIGHER_BETTER + LOWER_BETTER:
+        sign = 1.0 if metric in HIGHER_BETTER else -1.0
+        # Each cell's scores and its distinct scores, best first;
+        # values[:2][-1] is the second best, or the best when all tie.
+        ranks = []
+        for cell in cells:
+            scores = {rule: sign * getattr(cell[rule], metric) for rule in ONLINE_RULE_IDS}
+            ranks.append((scores, sorted(set(scores.values()), reverse=True)))
+        for rule in ONLINE_RULE_IDS:
             rows.append(
                 {
                     "metric": metric,
                     "rule": rule,
-                    "best": slot["best"] / total,
-                    "top2": slot["top2"] / total,
-                    "worst": slot["worst"] / total,
-                    "cells": total,
+                    "best": _mean([s[rule] == values[0] for s, values in ranks]),
+                    "top2": _mean([s[rule] >= values[:2][-1] for s, values in ranks]),
+                    "worst": _mean([s[rule] == values[-1] for s, values in ranks]),
+                    "cells": len(cells),
                 }
             )
     return rows
@@ -391,39 +383,27 @@ def aggregate_relative(records):
     """Mean metrics of each online rule relative to the offline baseline of
     the same cell: ratios for the satisfaction metrics, differences for the
     bounded ones."""
-    baselines = {
-        (r.instance, r.seed): r.metrics for r in records if r.rule == "offline-mes"
-    }
-    sums = {}
-    for record in records:
-        if record.rule == "offline-mes":
-            continue
-        base = baselines.get((record.instance, record.seed))
+    groups = {}
+    for (instance, _seed), cell in _cells(records).items():
+        base = cell.get("offline-mes")
         if base is None:
             continue
-        relative = relative_to_baseline(record.metrics, base)
-        key = (_culture_of(record.instance), record.rule)
-        entry = sums.setdefault(key, {"n": 0, "avg": 0.0, "quart": 0.0, "gini": 0.0, "excl": 0.0})
-        entry["n"] += 1
-        entry["avg"] += relative.average_satisfaction
-        entry["quart"] += relative.bottom_quartile_mean
-        entry["gini"] += relative.gini
-        entry["excl"] += relative.exclusion_ratio
-    rows = []
-    for (culture, rule), entry in sorted(sums.items()):
-        n = entry["n"]
-        rows.append(
-            {
-                "culture": culture,
-                "rule": rule,
-                "avg_ratio": entry["avg"] / n,
-                "quartile_ratio": entry["quart"] / n,
-                "gini_diff": entry["gini"] / n,
-                "exclusion_diff": entry["excl"] / n,
-                "runs": n,
-            }
-        )
-    return rows
+        for rule, bundle in cell.items():
+            if rule != "offline-mes":
+                key = (_culture_of(instance), rule)
+                groups.setdefault(key, []).append(relative_to_baseline(bundle, base))
+    return [
+        {
+            "culture": culture,
+            "rule": rule,
+            "avg_ratio": _mean([r.average_satisfaction for r in relative]),
+            "quartile_ratio": _mean([r.bottom_quartile_mean for r in relative]),
+            "gini_diff": _mean([r.gini for r in relative]),
+            "exclusion_diff": _mean([r.exclusion_ratio for r in relative]),
+            "runs": len(relative),
+        }
+        for (culture, rule), relative in sorted(groups.items())
+    ]
 
 
 def _culture_of(instance_id):
@@ -443,13 +423,12 @@ def aggregate_exp4(records):
         per_instance = {}
         for record, deficit in zip(mine, deficits):
             per_instance.setdefault(record.instance, []).append(deficit)
-        instance_means = [sum(ds) / len(ds) for ds in per_instance.values()]
         rows.append(
             {
                 "rule": rule,
                 "underperformance": len(failing) / len(deficits),
-                "mean_deficit": sum(failing) / len(failing) if failing else 0.0,
-                "max_deficit": max(instance_means),
+                "mean_deficit": _mean(failing) if failing else 0.0,
+                "max_deficit": max(map(_mean, per_instance.values())),
                 "runs": len(deficits),
             }
         )
@@ -499,7 +478,7 @@ def run_experiment(cfg):
 
 def _aggregate_timing(records):
     return [
-        {"rule": rule, "mean_seconds": sum(r.duration for r in mine) / len(mine)}
+        {"rule": rule, "mean_seconds": _mean([r.duration for r in mine])}
         for rule, mine in _by_rule(records, ALL_RULE_IDS)
     ]
 
@@ -621,9 +600,9 @@ def verify_thm_nash(cfg):
             order = random_order(election.num_candidates, seed)
             committee = run_rule("online-nash", election, order)
             ratios.append(math.exp(nash_welfare(election, committee) - optimum))
-        instance_means.append(sum(ratios) / len(ratios))
+        instance_means.append(_mean(ratios))
         ratios_all.extend(ratios)
-    mean_ratio = sum(ratios_all) / len(ratios_all)
+    mean_ratio = _mean(ratios_all)
     return NashTheoremReport(
         instance_means=tuple(instance_means),
         mean_ratio=mean_ratio,

@@ -327,8 +327,9 @@ def bos(election):
 
 
 def utilitarian_topk(election):
-    """The k candidates with the largest total utility, ties by smaller index."""
-    sums = election.utilities.sum(axis=0)
+    """The k candidates with the largest total utility, ties by smaller index.
+    Totals are exact sums (math.fsum), so equal totals tie in any voter order."""
+    sums = [math.fsum(column) for column in election.utilities.T]
     ranked = sorted(range(election.num_candidates), key=lambda c: (-sums[c], c))
     return Committee(frozenset(ranked[: election.committee_size]))
 

@@ -60,6 +60,20 @@ class TestRun:
         ) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "order, error",
+        [
+            ("x", "expected an integer, got 'x'"),
+            ("1 2 3 4 5 6x", "expected an integer, got '6x'"),
+            ("1 2 3 4 5 7", "candidate 7 out of range 1..6"),
+            ("1 2 3 4 5 0", "candidate 0 out of range 1..6"),
+            ("1 2 3 4 2 6", "candidate 2 is listed twice"),
+        ],
+    )
+    def test_bad_order_names_its_token(self, instance_file, capsys, order, error):
+        assert main(["run", "greedy", "--instance", instance_file, "--order", order]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_embedded_order_used(self, tmp_path, showcase, capsys):
         from streamelect import ArrivalOrder
 
@@ -151,6 +165,18 @@ class TestCheck:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: candidate {member} out of range 1..3\n"
+
+    @pytest.mark.parametrize(
+        "committee, error",
+        [
+            ("1 x", "expected an integer, got 'x'"),
+            ("1,2.5", "expected an integer, got '2.5'"),
+            ("1 1 3", "candidate 1 is listed twice"),
+        ],
+    )
+    def test_bad_committee_names_its_token(self, camps_file, capsys, committee, error):
+        assert main(["check", "jr", "--instance", camps_file, "--committee", committee]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize(
         "axiom, flag", [("jr", "--beta"), ("strong-jr", "--gamma"), ("ejr-plus", "--delta")]

@@ -65,6 +65,15 @@ class TestElection:
         e = Election([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0]], 2, score_cap=2.0)
         assert e.score_cap == 2.0
 
+    def test_compares_and_hashes_by_identity(self):
+        a = Election([[1, 0, 1], [0, 1, 1]], 2)
+        b = Election([[1, 0, 1], [0, 1, 1]], 2)
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a)
+        assert {a: "a", b: "b"}[b] == "b"
+        scoped = dataclasses.replace(a, committee_size=2)
+        assert scoped != a and scoped.utilities.tolist() == a.utilities.tolist()
+        assert a.is_approval and "is_approval" in vars(a)
 
 
 class TestIsApproval:

@@ -1,6 +1,7 @@
 """Experiment harness: seeding, configs, records, aggregates, theorem checks."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamelect import (
     Election,
@@ -24,6 +27,7 @@ from streamelect import (
     write_native,
 )
 from streamelect.harness import (
+    AGGREGATES,
     ALL_RULE_IDS,
     SETTINGS,
     single_approval_election,
@@ -36,6 +40,8 @@ from streamelect.harness import (
     records_to_csv,
     run_cell,
 )
+from streamelect.metrics import HIGHER_BETTER, LOWER_BETTER
+from streamelect.rules_online import ONLINE_RULE_IDS
 from streamelect.samplers import SampleSpec
 
 
@@ -98,23 +104,40 @@ class TestSettings:
 
     def test_readme_table_matches(self):
         """The settings table under the README's "## CLI" heading lists
-        SETTINGS: each row's backticked experiments and settings, with the
-        config key `source` standing for the field `sources`."""
-        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-        cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-        table = {}
-        for row in cli.splitlines():
-            cells = row.split("|")[1:-1]
-            if len(cells) != 2 or not cells[0].strip().startswith("`"):
-                continue
-            experiments, settings = (re.findall(r"`([^`]+)`", cell) for cell in cells)
-            fields = tuple("sources" if name == "source" else name for name in settings)
-            table.update(dict.fromkeys(experiments, fields))
+        SETTINGS, with the config key `source` standing for the field
+        `sources`."""
+        table = {
+            experiment: tuple("sources" if name == "source" else name for name in settings)
+            for experiment, settings in readme_table("CLI").items()
+        }
         assert table == SETTINGS
 
     def test_parse_refuses_unread_key_at_its_default(self):
         with pytest.raises(ValueError, match="config line 3: exp4 does not read p"):
             parse_config("experiment=exp4\ninstances=2\np=2\n")
+
+
+def readme_table(heading):
+    """The two-column table under the README's "## <heading>": each row's
+    backticked experiments mapped to the backticked names of its second
+    cell."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for row in section.splitlines():
+        cells = row.split("|")[1:-1]
+        if len(cells) != 2 or not cells[0].strip().startswith("`"):
+            continue
+        experiments, names = (re.findall(r"`([^`]+)`", cell) for cell in cells)
+        table.update(dict.fromkeys(experiments, tuple(names)))
+    return table
+
+
+def test_readme_aggregates_match():
+    """The README lists each evaluation experiment's tables: AGGREGATES'
+    names, in order, then timing."""
+    expected = {experiment: (*tables, "timing") for experiment, tables in AGGREGATES.items()}
+    assert readme_table("Aggregate tables") == expected
 
 
 class TestParseConfig:
@@ -171,6 +194,11 @@ class TestParseConfig:
             ("# exp\nexperiment=exp9\n", "config line 2: unknown experiment: 'exp9'"),
             ("experiment=exp4\nexperiment=exp3\n", "config line 2: repeated key 'experiment'"),
             ("experiment=exp1\niterations=3\niterations=7\n", "config line 3: repeated key"),
+            ("experiment=exp1\ndivisors=4, 20, 4\n", "^repeated divisor 4$"),
+            (
+                "experiment=exp2\nsource=d1/a.txt\nsource=b.txt\nsource=d2/a.txt\n",
+                "^repeated source name 'a.txt'$",
+            ),
         ],
     )
     def test_rejects(self, text, match):
@@ -372,9 +400,14 @@ def test_aggregates_match_golden(experiment, tmp_path):
     expected = golden[experiment]
     assert list(aggregates) == list(expected)
     for name, rows in aggregates.items():
-        assert [list(row) for row in rows] == [list(row) for row in expected[name]]
-        for row, want in zip(rows, expected[name]):
-            assert row == pytest.approx(want, rel=1e-12)
+        assert_table(rows, expected[name])
+
+
+def assert_table(rows, expected):
+    """Rows, their keys and key order equal; values to a relative 1e-12."""
+    assert [list(row) for row in rows] == [list(row) for row in expected]
+    for row, want in zip(rows, expected):
+        assert row == pytest.approx(want, rel=1e-12)
 
 
 class TestAggregates:
@@ -467,6 +500,164 @@ class TestAggregates:
         assert row["mean_deficit"] == 2.0
         assert row["max_deficit"] == 1.0
         assert row["runs"] == 4
+
+
+# A small value grid, so that ties between rules and zero baselines occur.
+GRID = (0.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def record_lists(draw):
+    """Records of 1-4 instances x 1-3 seeds, in any order; each (instance,
+    seed) cell holds a random subset of the rules, with metrics from GRID
+    and the EJR+ and quota columns each either filled or empty."""
+    names = ("ic-a", "ic-b", "mallows-a", "polarized-a", "riverside.pb/m4")
+    instances = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+    seeds = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+    columns = st.tuples(
+        st.sampled_from(list(itertools.product(GRID, repeat=5))),
+        st.sampled_from([None, *itertools.product(GRID, GRID, range(3))]),
+        st.sampled_from([None, *itertools.product(range(3), range(3))]),
+    )
+    records = []
+    for instance in instances:
+        for seed in seeds:
+            rules = draw(st.just(ALL_RULE_IDS) | st.sets(st.sampled_from(ALL_RULE_IDS)))
+            for rule in rules:
+                metrics, ejr, quota = draw(columns)
+                records.append(
+                    RunRecord(
+                        instance=instance, rule=rule, seed=seed, k=2, committee=(0, 1),
+                        metrics=MetricBundle(*metrics),
+                        jr_satisfied=True,
+                        ejr_plus_share=ejr and ejr[0],
+                        ejr_plus_shortfall=ejr and ejr[1],
+                        ejr_plus_witnesses=ejr and ejr[2],
+                        quota_deserved=quota and quota[0],
+                        quota_received=quota and quota[1],
+                    )
+                )
+    return draw(st.permutations(records))
+
+
+def naive_best_counts(records):
+    """Over the (instance, seed) cells holding all four online rules: the
+    share where a rule has no better rule, at most one better value, and no
+    worse rule, per metric."""
+    cells = {}
+    for r in records:
+        cells.setdefault((r.instance, r.seed), {})[r.rule] = r.metrics
+    complete = [c for c in cells.values() if all(rule in c for rule in ONLINE_RULE_IDS)]
+    rows = []
+    for metric in HIGHER_BETTER + LOWER_BETTER:
+        for rule in ONLINE_RULE_IDS:
+            best = top2 = worst = 0
+            for cell in complete:
+                sign = 1 if metric in HIGHER_BETTER else -1
+                mine = sign * getattr(cell[rule], metric)
+                scores = [sign * getattr(cell[other], metric) for other in ONLINE_RULE_IDS]
+                better = {s for s in scores if s > mine}
+                best += not better
+                top2 += len(better) <= 1
+                worst += all(s >= mine for s in scores)
+            if complete:
+                n = len(complete)
+                row = {"metric": metric, "rule": rule, "best": best / n, "top2": top2 / n}
+                rows.append({**row, "worst": worst / n, "cells": n})
+    return rows
+
+
+def naive_relative(records):
+    """Per (culture, online rule), sorted: the mean ratio to the cell's
+    offline-mes value of the satisfaction metrics (0/0 = 1, x/0 = inf) and
+    the mean difference of the bounded ones, over cells with a baseline."""
+    def ratio(value, base):
+        return value / base if base else (1.0 if value == 0.0 else math.inf)
+
+    base = {(r.instance, r.seed): r.metrics for r in records if r.rule == "offline-mes"}
+    groups = {}
+    for r in records:
+        b = base.get((r.instance, r.seed))
+        if r.rule != "offline-mes" and b is not None:
+            groups.setdefault((_culture_of(r.instance), r.rule), []).append((r.metrics, b))
+    rows = []
+    for (culture, rule), pairs in sorted(groups.items()):
+        n = len(pairs)
+        avg = sum(ratio(m.average_satisfaction, b.average_satisfaction) for m, b in pairs)
+        quartile = sum(ratio(m.bottom_quartile_mean, b.bottom_quartile_mean) for m, b in pairs)
+        gini = sum(m.gini - b.gini for m, b in pairs)
+        exclusion = sum(m.exclusion_ratio - b.exclusion_ratio for m, b in pairs)
+        rows.append(
+            {
+                "culture": culture,
+                "rule": rule,
+                "avg_ratio": avg / n,
+                "quartile_ratio": quartile / n,
+                "gini_diff": gini / n,
+                "exclusion_diff": exclusion / n,
+                "runs": n,
+            }
+        )
+    return rows
+
+
+def naive_exp1(records):
+    """Per rule with EJR+ columns, in rule order: their means and count."""
+    rows = []
+    for rule in ALL_RULE_IDS:
+        mine = [r for r in records if r.rule == rule and r.ejr_plus_share is not None]
+        if mine:
+            n = len(mine)
+            rows.append(
+                {
+                    "rule": rule,
+                    "mean_share": sum(r.ejr_plus_share for r in mine) / n,
+                    "mean_shortfall": sum(r.ejr_plus_shortfall for r in mine) / n,
+                    "mean_witnesses": sum(r.ejr_plus_witnesses for r in mine) / n,
+                    "runs": n,
+                }
+            )
+    return rows
+
+
+def naive_exp4(records):
+    """Per online rule with quota columns, in rule order: the share of runs
+    below quota, the mean deficit of those runs (0 when none), and the
+    largest mean deficit of one instance."""
+    rows = []
+    for rule in ONLINE_RULE_IDS:
+        mine = [r for r in records if r.rule == rule and r.quota_deserved is not None]
+        if not mine:
+            continue
+        deficit = {id(r): max(0, r.quota_deserved - r.quota_received) for r in mine}
+        failing = [d for d in deficit.values() if d > 0]
+        per_instance = []
+        for instance in {r.instance for r in mine}:
+            ds = [deficit[id(r)] for r in mine if r.instance == instance]
+            per_instance.append(sum(ds) / len(ds))
+        rows.append(
+            {
+                "rule": rule,
+                "underperformance": len(failing) / len(mine),
+                "mean_deficit": sum(failing) / len(failing) if failing else 0.0,
+                "max_deficit": max(per_instance),
+                "runs": len(mine),
+            }
+        )
+    return rows
+
+
+class TestAggregateProperty:
+    """Each aggregate table equals a naive reference written from its
+    docstring, on random record lists with ties and missing rules."""
+
+    @given(record_lists())
+    @settings(max_examples=40, deadline=None)
+    def test_tables_match_naive_references(self, records):
+        assert_table(aggregate_best_counts(records), naive_best_counts(records))
+        assert_table(aggregate_relative(records), naive_relative(records))
+        assert_table(aggregate_exp1(records), naive_exp1(records))
+        assert_table(aggregate_exp4(records), naive_exp4(records))
 
 
 class TestTheoremChecks:

@@ -348,6 +348,18 @@ class TestUtilitarian:
         e = Election([[1.0, 1.0, 1.0, 0.0]], 2)
         assert utilitarian_topk(e).sorted_members() == (0, 1)
 
+    def test_exact_tie_of_float_totals(self):
+        """Columns 0-2 each total exactly 5.5, though numpy's column sum of
+        this row-major matrix reads 5.500000000000001 for column 2."""
+        columns = [
+            [i / 10 for i in range(1, 11)],
+            [0.8, 0.6, 0.5, 0.3, 1.0, 0.7, 0.2, 0.4, 0.1, 0.9],
+            [0.2, 0.9, 0.3, 0.7, 0.1, 1.0, 0.6, 0.8, 0.4, 0.5],
+            [0.0] * 10,
+        ]
+        e = Election([list(row) for row in zip(*columns)], 2)
+        assert utilitarian_topk(e).sorted_members() == (0, 1)
+
 
 class TestNash:
     def test_welfare_value(self, showcase):
