@@ -21,9 +21,9 @@ from .axioms import (
 )
 from .core import ArrivalOrder, Committee, random_order
 from .harness import parse_config, run_experiment, verify_thm_mes, verify_thm_nash
-from .io import ParseError, read_native, write_native
+from .io import ParseError, read_ids, read_native, write_ids, write_native
 from .rules_online import ONLINE_RULE_IDS, run_rule
-from .samplers import CULTURES, SampleSpec, sample
+from .samplers import CULTURE_TABLE, CULTURES, SampleSpec, sample
 
 CHECKERS = {
     "jr": check_jr,
@@ -32,44 +32,27 @@ CHECKERS = {
     "ejr": check_ejr_bruteforce,
 }
 
+# Each SampleSpec field some culture reads, described as in CULTURE_TABLE.
+SAMPLE_FIELDS = {name: d for _, reads in CULTURE_TABLE.values() for name, d in reads.items()}
+
 
 def _read_instance(path):
     with open(path, encoding="utf-8") as handle:
         return read_native(handle.read())
 
 
-def _read_integers(value):
-    """The integers of a comma- or space-separated list, naming the first
-    token that is not one."""
-    numbers = []
-    for token in value.replace(",", " ").split():
-        try:
-            numbers.append(int(token))
-        except ValueError:
-            raise ValueError(f"expected an integer, got {token!r}") from None
-    return numbers
-
-
-def _zero_based(ids, num_candidates):
-    """Distinct 1-based candidate ids as 0-based ones, naming the first id
-    out of range or repeated."""
-    for i, c in enumerate(ids):
-        if not 1 <= c <= num_candidates:
-            raise ValueError(f"candidate {c} out of range 1..{num_candidates}")
-        if c in ids[:i]:
-            raise ValueError(f"candidate {c} is listed twice")
-    return tuple(c - 1 for c in ids)
-
-
 def _parse_order(value, num_candidates):
-    # A single token is a seed; a list of m tokens is an explicit 1-based
-    # order (m >= 3 always, so the two cannot collide).
-    numbers = _read_integers(value)
-    if len(numbers) == 1:
-        return random_order(num_candidates, numbers[0])
-    if len(numbers) != num_candidates:
-        raise ValueError(f"order lists {len(numbers)} candidates, instance has {num_candidates}")
-    return ArrivalOrder(_zero_based(numbers, num_candidates))
+    # A single integer is a seed; a list of m ids is an explicit order (m >= 3
+    # always, so the two cannot collide).
+    try:
+        seed = int(value)
+    except ValueError:
+        ids = read_ids(value, num_candidates)
+    else:
+        return random_order(num_candidates, seed)
+    if len(ids) != num_candidates:
+        raise ValueError(f"order lists {len(ids)} candidates, instance has {num_candidates}")
+    return ArrivalOrder(ids)
 
 
 def cmd_run(args):
@@ -81,11 +64,12 @@ def cmd_run(args):
     else:
         order = ArrivalOrder.identity(election.num_candidates)
     committee = run_rule(args.rule, election, order, args.exploration)
-    print("committee:", " ".join(str(c + 1) for c in committee.sorted_members()))
+    print("committee:", write_ids(committee.sorted_members()))
     if args.trace:
         for decision in committee.audit:
             verb = "hire" if decision.hired else "pass"
-            print(f"  t={decision.position} candidate {decision.candidate + 1}: {verb} ({decision.reason})")
+            candidate = write_ids([decision.candidate])
+            print(f"  t={decision.position} candidate {candidate}: {verb} ({decision.reason})")
     return 0
 
 
@@ -97,8 +81,7 @@ def cmd_check(args):
                 raise ValueError(f"--{name} relaxes only the ejr check, not {args.axiom}")
             relaxations[name] = getattr(args, name)
     election, _ = _read_instance(args.instance)
-    ids = _zero_based(_read_integers(args.committee), election.num_candidates)
-    committee = Committee(frozenset(ids))
+    committee = Committee(read_ids(args.committee, election.num_candidates))
     report = CHECKERS[args.axiom](election, committee, **relaxations)
     status = "satisfied" if report.satisfied else "violated"
     print(f"{report.axiom}: {status}")
@@ -106,10 +89,9 @@ def cmd_check(args):
         print(f"  violating voter share: {report.violating_voter_share:.4f}")
         print(f"  shortfall: {report.shortfall:.4f}")
         for witness in report.witnesses[:5]:
-            group = " ".join(str(v + 1) for v in witness.group)
-            cands = " ".join(str(c + 1) for c in witness.candidates)
             print(
-                f"  witness: voters [{group}] candidates [{cands}]"
+                f"  witness: voters [{write_ids(witness.group)}]"
+                f" candidates [{write_ids(witness.candidates)}]"
                 f" required {witness.required:.4f} achieved {witness.achieved:.4f}"
             )
     return 0 if report.satisfied else 1
@@ -127,18 +109,8 @@ def _emit(text, output, what):
 
 
 def cmd_sample(args):
-    spec = SampleSpec(
-        culture=args.culture,
-        num_voters=args.voters,
-        num_candidates=args.candidates,
-        committee_size=args.committee,
-        seed=args.seed,
-        noise=not args.no_noise,
-        p=args.p,
-        phi=args.phi,
-        x=args.x,
-        q=args.q,
-    )
+    params = {name: getattr(args, name) for name in SAMPLE_FIELDS}
+    spec = SampleSpec(args.culture, args.voters, args.candidates, args.committee, args.seed, **params)
     return _emit(write_native(sample(spec)), args.output, spec.instance_id())
 
 
@@ -151,7 +123,8 @@ def cmd_experiment(args):
             print(f"thm-mes: vacuous at relaxation p={report.relaxation} (passed)")
             return 0
         for winner, freq in sorted(report.winner_frequencies.items()):
-            print(f"  winner {winner + 1}: frequency {freq:.4f} (threshold {report.per_winner_threshold:.4f})")
+            threshold = report.per_winner_threshold
+            print(f"  winner {write_ids([winner])}: frequency {freq:.4f} (threshold {threshold:.4f})")
         print(f"  joint: {report.joint_frequency:.4f} (threshold {report.joint_threshold:.4f})")
         print(f"thm-mes: {'passed' if report.passed else 'FAILED'}")
         return 0 if report.passed else 1
@@ -222,11 +195,12 @@ def build_parser():
     p_sample.add_argument("--candidates", type=int, required=True)
     p_sample.add_argument("--committee", type=int, required=True)
     p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--p", type=float, default=None)
-    p_sample.add_argument("--phi", type=float, default=None)
-    p_sample.add_argument("--x", type=float, default=None)
-    p_sample.add_argument("--q", type=float, default=None)
-    p_sample.add_argument("--no-noise", action="store_true")
+    # Parameter flags first, then the switches (described by None).
+    for name, described in sorted(SAMPLE_FIELDS.items(), key=lambda item: item[1] is None):
+        if described is None:
+            p_sample.add_argument(f"--no-{name}", dest=name, action="store_false")
+        else:
+            p_sample.add_argument(f"--{name}", type=float, default=None)
     p_sample.add_argument("--output", "-o", default=None)
     p_sample.set_defaults(func=cmd_sample)
 

@@ -7,7 +7,7 @@ operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +41,15 @@ def check_size(n, m, k):
         raise ValueError(f"counts must be positive, got n={n}, m={m}")
     if not 2 <= k < m:
         raise ValueError(f"committee size must satisfy 2 <= k < m, got k={k}, m={m}")
+
+
+def check_unread(settings, read, owner):
+    """Refuse a field of the dataclass `settings` that has a default, is not
+    in `read` (the fields `owner` reads) and is set away from its default."""
+    for f in fields(settings):
+        unread = f.default is not MISSING and f.name not in read
+        if unread and getattr(settings, f.name) != f.default:
+            raise ValueError(f"{owner} does not read {f.name}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +186,6 @@ def satisfaction(election, committee):
     for c in members:
         if not 0 <= c < election.num_candidates:
             raise InvalidCommitteeError(f"candidate index {c} out of range")
-    if not members:
-        return np.zeros(election.num_voters)
     return election.utilities[:, sorted(members)].sum(axis=1)
 
 

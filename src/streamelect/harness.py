@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .axioms import check_ejr_plus_approval, check_jr
-from .core import Election, random_order, satisfaction
-from .io import bundled_ballot_files, divisor_committee_size, parse_pabulib, read_native, to_election
+from .core import Election, check_unread, random_order, satisfaction
+from .io import bundled_ballot_files, divisor_committee_size, parse_pabulib, read_native
+from .io import to_election, write_ids
 from .metrics import (
     FIELDS,
     HIGHER_BETTER,
@@ -34,7 +35,7 @@ from .metrics import (
 )
 from .rules_offline import mes, nash_optimum_bruteforce, nash_welfare
 from .rules_online import ONLINE_RULE_IDS, online_mes, run_rule
-from .samplers import CULTURES, SampleSpec, proportional_quota, sample
+from .samplers import CULTURE_TABLE, CULTURES, SampleSpec, proportional_quota, sample
 
 # The ExperimentConfig fields each experiment reads.
 SETTINGS = {
@@ -83,7 +84,7 @@ class RunRecord:
 
     def csv_row(self):
         cells = {**vars(self), **vars(self.metrics)}
-        cells["committee"] = " ".join(str(c + 1) for c in self.committee)
+        cells["committee"] = write_ids(self.committee)
         return ",".join(_csv_cell(cells[name]) for name in CSV_FIELDS)
 
 
@@ -146,10 +147,7 @@ class ExperimentConfig:
                 raise ValueError(f"repeated {what} {repeats[0]!r}")
         if self.p < 0:
             raise ValueError(f"p must be at least 0, got {self.p}")
-        read = SETTINGS[self.experiment]
-        for field in dataclasses.fields(self)[1:]:
-            if field.name not in read and getattr(self, field.name) != field.default:
-                raise ValueError(f"{self.experiment} does not read {field.name}")
+        check_unread(self, SETTINGS[self.experiment], self.experiment)
         if self.experiment == "exp2" and not self.sources:
             raise ValueError("exp2 needs source= lines")
 
@@ -290,10 +288,10 @@ def _instances(cfg, skipped):
     if cfg.experiment == "exp3":
         cultures = ("ic", "mallows", "normalized-mallows")
         grid = itertools.product(cultures, EXP3_PARAMS, EXP3_VOTERS, EXP3_PAIRS)
-        draws = [
-            (culture, n, m, k, {"p" if culture == "ic" else "phi": value})
-            for culture, value, n, (m, k) in itertools.islice(grid, cfg.instances)
-        ]
+        draws = []
+        for culture, value, n, (m, k) in itertools.islice(grid, cfg.instances):
+            (name,) = (field for field, described in CULTURE_TABLE[culture][1].items() if described)
+            draws.append((culture, n, m, k, {name: value}))
     else:
         rng = np.random.Generator(np.random.Philox(key=derive_seed(cfg.base_seed, "exp4", 0, 0)))
         draws = []
@@ -407,7 +405,7 @@ def aggregate_relative(records):
 
 
 def _culture_of(instance_id):
-    for culture in sorted(CULTURES, key=len, reverse=True):
+    for culture in CULTURES:
         if instance_id.startswith(culture + "-"):
             return culture
     return instance_id.split("-")[0]

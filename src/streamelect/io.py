@@ -12,6 +12,11 @@ The native format is line-oriented and value-exact under round-trips:
     n m k [B]
     order: i1 i2 ... im     (optional, 1-based candidate ids)
     u;u;...;u               (n rows of m utilities)
+
+Ids in files, on the command line and in printed output are 1-based, and
+`read_ids` and `write_ids` own that convention. An id list is separated by
+blanks or commas; `read_ids` refuses, by name, a token that is not an
+integer, a candidate id outside 1..m and an id listed twice.
 """
 
 from __future__ import annotations
@@ -162,6 +167,30 @@ def divisor_committee_size(m, divisor):
     return min(max(2, m // divisor), m - 1)
 
 
+def read_ids(text, num_candidates):
+    """The 0-based ids of a list of distinct 1-based candidate ids, naming
+    the first bad token, or else the first id out of range or repeated."""
+    ids = []
+    for token in text.replace(",", " ").split():
+        try:
+            ids.append(int(token))
+        except ValueError:
+            raise ValueError(f"expected an integer, got {token!r}") from None
+    seen = set()
+    for c in ids:
+        if not 1 <= c <= num_candidates:
+            raise ValueError(f"candidate {c} out of range 1..{num_candidates}")
+        if c in seen:
+            raise ValueError(f"candidate {c} is listed twice")
+        seen.add(c)
+    return tuple(c - 1 for c in ids)
+
+
+def write_ids(ids):
+    """Blank-separated 1-based ids of 0-based candidates or voters."""
+    return " ".join(str(c + 1) for c in ids)
+
+
 def write_native(election, order=None):
     """Serialize an election (and optionally an arrival order) to the native
     text format; utilities use shortest round-trip decimal notation."""
@@ -170,7 +199,7 @@ def write_native(election, order=None):
         head += f" {election.score_cap!r}"
     lines = [head]
     if order is not None:
-        lines.append("order: " + " ".join(str(c + 1) for c in order.permutation))
+        lines.append("order: " + write_ids(order.permutation))
     for row in election.utilities:
         lines.append(";".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
@@ -205,12 +234,12 @@ def read_native(text):
     if body and body[0][1].startswith("order:"):
         lineno, order_line = body[0]
         try:
-            perm = tuple(int(p) - 1 for p in order_line[len("order:"):].split())
-            order = ArrivalOrder(perm)
+            ids = read_ids(order_line[len("order:"):], m)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad order ({exc})") from None
-        if len(order) != m:
-            raise ParseError(f"line {lineno}: order lists {len(order)} of {m} candidates")
+        if len(ids) != m:
+            raise ParseError(f"line {lineno}: order lists {len(ids)} of {m} candidates")
+        order = ArrivalOrder(ids)
         body = body[1:]
     if len(body) != n:
         # A short body is missing the row after its last line; a long one

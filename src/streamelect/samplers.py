@@ -2,8 +2,7 @@
 
 `sample` is a pure function of its SampleSpec: the same spec yields the
 same election on every platform (generator contract in core.ORDER_GENERATOR).
-Each culture's sampler takes the seeded generator and the spec and returns
-the utility matrix and its score cap.
+CULTURE_TABLE names each culture's sampler and the parameters it reads.
 """
 
 from __future__ import annotations
@@ -13,16 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Election, check_size, members_of, seeded_rng
-
-# The SampleSpec parameters each culture reads; any other must stay None.
-CULTURE_PARAMETERS = {
-    "ic": ("p",),
-    "mallows": ("phi",),
-    "normalized-mallows": ("phi",),
-    "polarized": ("x", "q"),
-}
-CULTURES = tuple(CULTURE_PARAMETERS)
+from .core import Election, check_size, check_unread, members_of, seeded_rng
 
 MEMORY_CAP = 10_000_000  # cap on n * m utility entries
 
@@ -31,14 +21,10 @@ MEMORY_CAP = 10_000_000  # cap on n * m utility entries
 class SampleSpec:
     """Parameterization of one synthetic instance.
 
-    culture: one of CULTURES. p is the approval probability (ic); phi the
-    dispersion (mallows) or the normalized dispersion (normalized-mallows,
-    the value whose expected swap distance is that fraction of the uniform
-    expectation); x the group-A voter share and q the group-B approval rate
-    (polarized); noise toggles the per-candidate utility jitter of the
-    Mallows cultures. A parameter the culture does not read must stay unset
-    (noise True off the Mallows cultures), so that equal elections have
-    equal instance ids.
+    culture: one of CULTURES. CULTURE_TABLE lists the fields each culture
+    reads and what they mean; normalized-mallows reads phi as a normalized
+    dispersion (see _sample_mallows). A field the culture does not read must
+    keep its default, so that equal elections have equal instance ids.
     """
 
     culture: str
@@ -53,30 +39,23 @@ class SampleSpec:
     noise: bool = True
 
     def __post_init__(self):
-        if self.culture not in CULTURES:
+        if self.culture not in CULTURE_TABLE:
             raise ValueError(f"unknown culture: {self.culture!r}")
         check_size(self.num_voters, self.num_candidates, self.committee_size)
-        for name in ("p", "phi", "x", "q"):
-            if getattr(self, name) is not None and name not in CULTURE_PARAMETERS[self.culture]:
-                raise ValueError(f"{self.culture} does not read {name}")
-        if not self.noise and self.culture not in ("mallows", "normalized-mallows"):
-            raise ValueError(f"{self.culture} has no noise to switch off")
+        _, reads = CULTURE_TABLE[self.culture]
+        check_unread(self, reads, self.culture)
         if self.num_voters * self.num_candidates > MEMORY_CAP:
             raise ValueError(
                 f"instance would hold {self.num_voters * self.num_candidates} utilities,"
                 f" cap is {MEMORY_CAP}"
             )
-        if self.culture == "ic":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError(f"ic needs approval probability p in [0, 1], got {self.p}")
-        elif self.culture in ("mallows", "normalized-mallows"):
-            if self.phi is None or not 0.0 < self.phi <= 1.0:
-                raise ValueError(f"{self.culture} needs dispersion phi in (0, 1], got {self.phi}")
-        else:
-            if self.x is None or not 0.0 < self.x <= 1.0:
-                raise ValueError(f"polarized needs group-A share x in (0, 1], got {self.x}")
-            if self.q is None or not 0.0 < self.q <= 1.0:
-                raise ValueError(f"polarized needs approval rate q in (0, 1], got {self.q}")
+        for name, described in reads.items():
+            if described is None:
+                continue
+            meaning, interval = described
+            value = getattr(self, name)
+            if value is None or not (0.0 < value <= 1.0 or value == 0.0 and interval.startswith("[")):
+                raise ValueError(f"{self.culture} needs {meaning} {name} in {interval}, got {value}")
 
     def instance_id(self):
         parts = [
@@ -215,15 +194,24 @@ def proportional_quota(spec, committee):
     return deserved, received
 
 
-SAMPLERS = {
-    "ic": _sample_ic,
-    "mallows": _sample_mallows,
-    "normalized-mallows": _sample_mallows,
-    "polarized": _sample_polarized,
+# Each culture's sampler, (rng, spec) -> (utility matrix, score cap), and
+# the SampleSpec fields it reads: each parameter with its meaning and its
+# interval, which ends at 1 and holds 0 only if it opens with "[", and
+# noise, a switch, with None.
+CULTURE_TABLE = {
+    "ic": (_sample_ic, {"p": ("approval probability", "[0, 1]")}),
+    "mallows": (_sample_mallows, {"phi": ("dispersion", "(0, 1]"), "noise": None}),
+    "normalized-mallows": (_sample_mallows, {"phi": ("dispersion", "(0, 1]"), "noise": None}),
+    "polarized": (
+        _sample_polarized,
+        {"x": ("group-A share", "(0, 1]"), "q": ("approval rate", "(0, 1]")},
+    ),
 }
+CULTURES = tuple(CULTURE_TABLE)
 
 
 def sample(spec):
     """Draw the election described by a SampleSpec."""
-    matrix, score_cap = SAMPLERS[spec.culture](seeded_rng(spec.seed), spec)
+    sampler, _ = CULTURE_TABLE[spec.culture]
+    matrix, score_cap = sampler(seeded_rng(spec.seed), spec)
     return Election(matrix, spec.committee_size, score_cap)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from streamelect import Election, read_native, write_native
+from streamelect import Election, SampleSpec, read_native, sample, write_native
 from streamelect.cli import main
+from streamelect.samplers import CULTURES
 
 
 @pytest.fixture
@@ -255,6 +256,23 @@ class TestSample:
         assert code == 0
         election, _ = read_native(capsys.readouterr().out)
         assert np.allclose(np.sort(election.utilities[0]), np.linspace(0, 200, 5))
+
+
+    # Each culture's flags and the SampleSpec parameters they stand for.
+    CULTURE_FLAGS = {
+        "ic": (["--p", "0.4"], {"p": 0.4}),
+        "mallows": (["--phi", "0.6", "--no-noise"], {"phi": 0.6, "noise": False}),
+        "normalized-mallows": (["--phi", "0.3"], {"phi": 0.3}),
+        "polarized": (["--x", "0.5", "--q", "0.7"], {"x": 0.5, "q": 0.7}),
+    }
+
+    @pytest.mark.parametrize("culture", CULTURES)
+    def test_writes_the_spec_drawn(self, capsys, culture):
+        flags, params = self.CULTURE_FLAGS[culture]
+        size = ["--voters", "5", "--candidates", "7", "--committee", "3", "--seed", "9"]
+        assert main(["sample", culture, *size, *flags]) == 0
+        spec = SampleSpec(culture, 5, 7, 3, 9, **params)
+        assert capsys.readouterr().out == write_native(sample(spec))
 
 
 class TestExperiment:

@@ -152,6 +152,7 @@ class TestSatisfaction:
     def test_empty_committee(self, showcase):
         sat = satisfaction(showcase, [])
         assert sat.dtype == np.float64
+        assert sat.flags.writeable and sat.flags.owndata
         assert sat.tolist() == [0.0, 0.0]
 
     def test_rejects_out_of_range(self, showcase):

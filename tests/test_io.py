@@ -149,6 +149,10 @@ class TestNativeFormat:
         assert back.score_cap is None
         assert order is None
 
+    def test_order_shares_the_command_line_id_grammar(self):
+        _, order = read_native("2 3 2\norder: 2,1, 3\n1;0;0\n0;1;1\n")
+        assert order.permutation == (1, 0, 2)
+
     def test_order_is_one_based_in_file(self):
         e, order = read_native("2 3 2\norder: 2 1 3\n1;0;0\n0;1;1\n")
         assert order.permutation == (1, 0, 2)
@@ -162,6 +166,10 @@ class TestNativeFormat:
             ("a b c\n1;1\n", "malformed header"),
             ("2 3 2\norder: 1 2\n1;0;0\n0;1;1\n", "order lists 2 of 3"),
             ("2 3 2\norder: 1 x 3\n1;0;0\n0;1;1\n", "bad order"),
+            ("2 4 2\norder: 1 x 3 4\n1;0;0;1\n0;1;1;0\n", "^line 2: .*got 'x'"),
+            ("2 4 2\norder: 1 1 3 4\n1;0;0;1\n0;1;1;0\n", "^line 2: .*candidate 1 is listed twice"),
+            ("2 4 2\norder: 1 2 3 9\n1;0;0;1\n0;1;1;0\n", "^line 2: .*candidate 9 out of range 1..4"),
+            ("2 4 2\norder: 0 1 2 3\n1;0;0;1\n0;1;1;0\n", "^line 2: .*candidate 0 out of range 1..4"),
             ("2 3 2\n1;0;0\n", "line 3: expected 2 utility rows, found 1"),
             ("2 3 2\n1;0;0\n0;1;1\n\n1;1;1\n", "line 5: expected 2 utility rows, found 3"),
             ("2 3 2\n1;0\n0;1;1\n", "line 2: expected 3 values, found 2"),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamelect import (
     MetricBundle,
@@ -91,3 +93,48 @@ class TestRelativeToBaseline:
         assert rel.average_satisfaction == math.inf
         assert rel.bottom_quartile_mean == 1.0
         assert rel.nash_welfare == 1.0
+
+
+# Satisfaction values with zeros and ties as well as arbitrary floats.
+SATISFACTIONS = st.lists(
+    st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 200.0, allow_subnormal=False)),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestNaiveDefinitions:
+    """compute_metrics and relative_to_baseline against their definitions,
+    written out term by term."""
+
+    @given(SATISFACTIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_compute_metrics(self, values):
+        n = len(values)
+        mean = sum(values) / n
+        pairwise = sum(abs(a - b) for a in values for b in values)
+        smallest = sorted(values)[: math.ceil(n / 4)]
+        bundle = compute_metrics(values)
+        assert bundle.average_satisfaction == pytest.approx(mean, rel=1e-12)
+        assert bundle.exclusion_ratio == sum(v == 0.0 for v in values) / n
+        assert bundle.bottom_quartile_mean == pytest.approx(sum(smallest) / len(smallest), rel=1e-12)
+        gini = pairwise / (2 * n * n * mean) if mean > 0 else 0.0
+        assert bundle.gini == pytest.approx(gini, rel=1e-9, abs=1e-12)
+        nash = sum(math.log1p(v) for v in values)
+        assert bundle.nash_welfare == pytest.approx(nash, rel=1e-12, abs=1e-12)
+
+    @given(SATISFACTIONS, SATISFACTIONS)
+    @example([0.0], [0.0])
+    @example([2.0, 0.0], [0.0, 0.0])
+    @settings(max_examples=100, deadline=None)
+    def test_relative_to_baseline(self, values, base_values):
+        bundle, base = compute_metrics(values), compute_metrics(base_values)
+        rel = relative_to_baseline(bundle, base)
+        for name in ("average_satisfaction", "bottom_quartile_mean", "nash_welfare"):
+            x, y = getattr(bundle, name), getattr(base, name)
+            if y == 0.0:
+                assert getattr(rel, name) == (1.0 if x == 0.0 else math.inf)
+            else:
+                assert getattr(rel, name) == x / y
+        for name in ("exclusion_ratio", "gini"):
+            assert getattr(rel, name) == getattr(bundle, name) - getattr(base, name)

@@ -55,6 +55,36 @@ class TestSampleSpec:
         with pytest.raises(ValueError):
             ic_spec(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"p": None}, "ic needs approval probability p in [0, 1], got None"),
+            ({"p": -0.1}, "ic needs approval probability p in [0, 1], got -0.1"),
+            (
+                {"culture": "normalized-mallows", "p": None, "phi": 0.0},
+                "normalized-mallows needs dispersion phi in (0, 1], got 0.0",
+            ),
+            (
+                {"culture": "polarized", "p": None, "x": 0.0, "q": 0.5},
+                "polarized needs group-A share x in (0, 1], got 0.0",
+            ),
+            (
+                {"culture": "polarized", "p": None, "x": 0.5, "q": 1.5},
+                "polarized needs approval rate q in (0, 1], got 1.5",
+            ),
+            ({"q": 0.5}, "ic does not read q"),
+            ({"noise": False}, "ic does not read noise"),
+            (
+                {"culture": "polarized", "p": None, "x": 0.5, "q": 0.5, "noise": False},
+                "polarized does not read noise",
+            ),
+        ],
+    )
+    def test_refusal_names_the_field(self, overrides, message):
+        with pytest.raises(ValueError) as excinfo:
+            ic_spec(**overrides)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("culture", CULTURES)
     def test_size_refused_before_drawing(self, culture):
         # Refused by the spec before any draw; drawing 4000 x 2000 Mallows
