@@ -95,12 +95,12 @@ def check_jr(election, committee):
     sat = satisfaction(election, committee)
     n, k = election.num_voters, election.committee_size
     unserved = sat == 0.0
+    counts = np.count_nonzero(election.utilities[unserved] > 0.0, axis=0)
     witnesses = []
-    for c in range(election.num_candidates):
+    for c in np.nonzero(counts * k >= n)[0].tolist():
         column = election.utilities[:, c]
         group = np.nonzero((column > 0.0) & unserved)[0]
-        if group.size * k >= n:
-            witnesses.append(_witness(group, c, float(column[group].min()), 0.0))
+        witnesses.append(_witness(group, c, float(column[group].min()), 0.0))
     return _report("jr", witnesses, n)
 
 
@@ -137,19 +137,20 @@ def check_ejr_plus_approval(election, committee):
         raise BallotTypeError("EJR+ check requires approval (0/1) ballots")
     n, k = election.num_voters, election.committee_size
     approved_winners = satisfaction(election, committee)
-    members = members_of(committee)
+    approvals = election.utilities == 1.0
+    # counts[c, ell - 1]: approvers of c who approve fewer than ell winners,
+    # from each voter's one-hot approved-winner count, summed over levels.
+    one_hot = np.eye(k + 1, dtype=np.int64)[approved_winners.astype(np.int64)]
+    counts = np.cumsum(approvals.T.astype(np.int64) @ one_hot, axis=1)[:, :k]
+    pairs = counts * k >= np.arange(1, k + 1) * n
+    pairs[sorted(members_of(committee))] = False
     witnesses = []
     deficits = np.zeros(n)
-    for c in range(election.num_candidates):
-        if c in members:
-            continue
-        approvers = election.utilities[:, c] == 1.0
-        for ell in range(1, k + 1):
-            group = np.nonzero(approvers & (approved_winners < ell))[0]
-            if group.size * k < ell * n:
-                continue
-            witnesses.append(_witness(group, c, float(ell), float(approved_winners[group].max())))
-            deficits[group] = np.maximum(deficits[group], ell - approved_winners[group])
+    for c, level in zip(*np.nonzero(pairs)):
+        ell = int(level) + 1
+        group = np.nonzero(approvals[:, c] & (approved_winners < ell))[0]
+        witnesses.append(_witness(group, int(c), float(ell), float(approved_winners[group].max())))
+        deficits[group] = np.maximum(deficits[group], ell - approved_winners[group])
     violating = deficits > 0
     shortfall = float(deficits[violating].mean()) if violating.any() else 0.0
     return _report("ejr-plus", witnesses, n, shortfall=shortfall)

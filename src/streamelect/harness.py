@@ -66,7 +66,12 @@ EXP4_RATE = (0.3, 1.0)
 @dataclass(frozen=True)
 class RunRecord:
     """One (instance, rule, arrival seed) evaluation. Its fields, in order,
-    are the CSV columns, with `metrics` spelled out and `duration` left out."""
+    are the CSV columns, with `metrics` spelled out and `duration` left out.
+
+    `duration` times this record's rule call alone. `run_experiment` makes
+    every rule call, but evaluates each distinct committee of an instance
+    once: records that elect the same members share their metrics, JR, EJR+
+    and quota fields."""
 
     instance: str
     rule: str
@@ -208,43 +213,63 @@ def derive_seed(base_seed, instance_id, k, iteration):
 def run_cell(instance_id, election, seed, spec=None):
     """Evaluate all online rules plus the offline baseline on one arrival
     order; returns the records in canonical rule order."""
-    order = random_order(election.num_candidates, seed)
+    return _run_instance(instance_id, election, (seed,), spec)
+
+
+def _run_instance(instance_id, election, seeds, spec):
+    """The records of one instance, for each of `seeds` in turn, each in
+    canonical rule order.
+
+    A memo maps each committee's member set to its evaluation, so every
+    distinct committee of the instance is evaluated once; it is dropped when
+    the instance ends. Every rule call is still made and timed.
+    """
+    memo = {}
     records = []
-    for rule_id in ALL_RULE_IDS:
-        start = time.perf_counter()
-        if rule_id == "offline-mes":
-            committee, _ = mes(election)
-        else:
-            committee = run_rule(rule_id, election, order)
-        duration = time.perf_counter() - start
-        bundle = compute_metrics(satisfaction(election, committee))
-        jr_ok = check_jr(election, committee).satisfied
-        share = shortfall = witnesses = deserved = received = None
-        if election.is_approval:
-            report = check_ejr_plus_approval(election, committee)
-            share = report.violating_voter_share
-            shortfall = report.shortfall
-            witnesses = len({w.candidates[0] for w in report.witnesses})
-        if spec is not None and spec.culture == "polarized":
-            deserved, received = proportional_quota(spec, committee)
-        records.append(
-            RunRecord(
-                instance=instance_id,
-                rule=rule_id,
-                seed=seed,
-                k=election.committee_size,
-                committee=committee.sorted_members(),
-                metrics=bundle,
-                jr_satisfied=jr_ok,
-                ejr_plus_share=share,
-                ejr_plus_shortfall=shortfall,
-                ejr_plus_witnesses=witnesses,
-                quota_deserved=deserved,
-                quota_received=received,
-                duration=duration,
+    for seed in seeds:
+        order = random_order(election.num_candidates, seed)
+        for rule_id in ALL_RULE_IDS:
+            start = time.perf_counter()
+            if rule_id == "offline-mes":
+                committee, _ = mes(election)
+            else:
+                committee = run_rule(rule_id, election, order)
+            duration = time.perf_counter() - start
+            evaluation = memo.get(committee.members)
+            if evaluation is None:
+                evaluation = memo[committee.members] = _evaluate(election, committee, spec)
+            records.append(
+                RunRecord(
+                    instance=instance_id,
+                    rule=rule_id,
+                    seed=seed,
+                    k=election.committee_size,
+                    committee=committee.sorted_members(),
+                    duration=duration,
+                    **evaluation,
+                )
             )
-        )
     return records
+
+
+def _evaluate(election, committee, spec):
+    """The RunRecord fields that depend only on the committee's members: the
+    metrics and JR verdict always, EJR+ on approval ballots, and the quota on
+    a polarized instance."""
+    evaluation = {
+        "metrics": compute_metrics(satisfaction(election, committee)),
+        "jr_satisfied": check_jr(election, committee).satisfied,
+    }
+    if election.is_approval:
+        report = check_ejr_plus_approval(election, committee)
+        evaluation["ejr_plus_share"] = report.violating_voter_share
+        evaluation["ejr_plus_shortfall"] = report.shortfall
+        evaluation["ejr_plus_witnesses"] = len({w.candidates[0] for w in report.witnesses})
+    if spec is not None and spec.culture == "polarized":
+        evaluation["quota_deserved"], evaluation["quota_received"] = proportional_quota(
+            spec, committee
+        )
+    return evaluation
 
 
 def _instances(cfg, skipped):
@@ -463,9 +488,11 @@ def run_experiment(cfg):
     skipped = []
     records = []
     for instance_id, election, spec in _instances(cfg, skipped):
-        for iteration in range(1, cfg.iterations + 1):
-            seed = derive_seed(cfg.base_seed, instance_id, election.committee_size, iteration)
-            records.extend(run_cell(instance_id, election, seed, spec=spec))
+        seeds = [
+            derive_seed(cfg.base_seed, instance_id, election.committee_size, iteration)
+            for iteration in range(1, cfg.iterations + 1)
+        ]
+        records.extend(_run_instance(instance_id, election, seeds, spec))
     aggregates = {name: table(records) for name, table in AGGREGATES[cfg.experiment].items()}
     aggregates["timing"] = _aggregate_timing(records)
     if cfg.output:

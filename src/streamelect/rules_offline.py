@@ -260,9 +260,11 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
                 level.round = MesRound(c, key[1], tuple(payments))
             rounds.append(level.round)
     elected = {r.candidate for r in rounds}
-    remaining = [c for c in cols if c not in elected]
-    remaining.sort(key=lambda c: (-utilities[:, c].sum() if c < m else 0.0, c))
-    completion = tuple(remaining[: k - len(rounds)])
+    completion = ()
+    if len(rounds) < k:
+        remaining = [c for c in cols if c not in elected]
+        remaining.sort(key=lambda c: (-utilities[:, c].sum() if c < m else 0.0, c))
+        completion = tuple(remaining[: k - len(rounds)])
     return frozenset(elected | set(completion)), MesTrace(tuple(rounds), completion)
 
 

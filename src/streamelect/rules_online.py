@@ -87,7 +87,7 @@ def greedy_budgeting(election, order):
         if key is None:
             return Decision(position, c, False, "insufficient-budget")
         payments, budgets = _charge(budgets, supporters, None, key)
-        paid = tuple((int(i), float(payments[i])) for i in supporters)
+        paid = tuple(zip(supporters.tolist(), payments[supporters].tolist()))
         return Decision(position, c, True, "affordable", payments=paid)
 
     return _seat(election, order, decide)

@@ -6,6 +6,8 @@ from hypothesis import settings
 
 from streamelect import Election
 
+pytest_plugins = ["pytester"]
+
 # On CI, draw the same examples on every run and print the reproduction blob
 # of a failing one, so that a CI failure replays locally under the same
 # profile (CI=1) or with @reproduce_failure.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from streamelect import (
     ONLINE_RULE_IDS,
@@ -15,6 +16,7 @@ from streamelect import (
     Election,
     InstanceTooLargeError,
     InvalidCommitteeError,
+    Witness,
     check_ejr_bruteforce,
     check_ejr_plus_approval,
     check_jr,
@@ -313,6 +315,95 @@ class TestLattice:
                 {"delta": 1.0}, {"delta": 1.6},
             ):
                 assert check_ejr_bruteforce(election, committee, **relaxation).satisfied
+
+
+def naive_report(witnesses, n, shortfall=None):
+    """(witnesses, violating voter share, shortfall) as the checkers report
+    them; the shortfall defaults to the largest required - achieved."""
+    union = {i for w in witnesses for i in w.group}
+    if shortfall is None:
+        shortfall = max((w.required - w.achieved for w in witnesses), default=0.0)
+    return tuple(witnesses), len(union) / n, float(shortfall)
+
+
+def naive_jr(election, committee):
+    """JR by one pass per candidate over its positive, unserved voters."""
+    sat = satisfaction(election, committee)
+    n, k = election.num_voters, election.committee_size
+    witnesses = []
+    for c in range(election.num_candidates):
+        column = election.utilities[:, c]
+        group = np.nonzero((column > 0.0) & (sat == 0.0))[0]
+        if group.size * k >= n:
+            least = float(column[group].min())
+            witnesses.append(Witness(tuple(int(i) for i in group), (c,), (least,), least, 0.0))
+    return naive_report(witnesses, n)
+
+
+def naive_ejr_plus(election, committee):
+    """EJR+ by one pass per non-member candidate and level."""
+    n, k = election.num_voters, election.committee_size
+    approved = satisfaction(election, committee)
+    members = set(committee)
+    witnesses = []
+    deficits = np.zeros(n)
+    for c in range(election.num_candidates):
+        if c in members:
+            continue
+        approvers = election.utilities[:, c] == 1.0
+        for ell in range(1, k + 1):
+            group = np.nonzero(approvers & (approved < ell))[0]
+            if group.size * k < ell * n:
+                continue
+            best = float(approved[group].max())
+            witnesses.append(
+                Witness(tuple(int(i) for i in group), (c,), (float(ell),), float(ell), best)
+            )
+            deficits[group] = np.maximum(deficits[group], ell - approved[group])
+    violating = deficits > 0
+    shortfall = float(deficits[violating].mean()) if violating.any() else 0.0
+    return naive_report(witnesses, n, shortfall)
+
+
+@st.composite
+def ballots_and_committees(draw, approval):
+    """(election, committee) with n <= 40, m <= 12, 2 <= k < m, and a
+    committee of at most k candidates; 0/1 ballots when `approval`."""
+    n, m = draw(st.integers(1, 40)), draw(st.integers(3, 12))
+    k = draw(st.integers(2, m - 1))
+    if approval:
+        value = st.sampled_from([0.0, 1.0])
+    else:
+        value = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
+    election = Election(draw(arrays(np.float64, (n, m), elements=value)), k)
+    members = draw(st.sets(st.integers(0, m - 1), max_size=k))
+    return election, tuple(members)
+
+
+def assert_reports_match(report, naive):
+    witnesses, share, shortfall = naive
+    assert report.witnesses == witnesses
+    assert report.violating_voter_share.hex() == share.hex()
+    assert report.shortfall.hex() == shortfall.hex()
+
+
+class TestCheckersMatchNaiveLoops:
+    """The column-wise checkers report exactly what one loop per candidate
+    (and per level, for EJR+) reports: the same witnesses in the same order,
+    and the same share and shortfall to the bit."""
+
+    @given(st.booleans().flatmap(ballots_and_committees))
+    @settings(max_examples=200, deadline=None)
+    def test_jr(self, outcome):
+        election, committee = outcome
+        assert_reports_match(check_jr(election, committee), naive_jr(election, committee))
+
+    @given(ballots_and_committees(approval=True))
+    @settings(max_examples=200, deadline=None)
+    def test_ejr_plus(self, outcome):
+        election, committee = outcome
+        report = check_ejr_plus_approval(election, committee)
+        assert_reports_match(report, naive_ejr_plus(election, committee))
 
 
 class TestMakeCounterexample:

@@ -13,15 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamelect import (
+    CULTURES,
     Election,
     ExperimentConfig,
     MetricBundle,
     RunRecord,
+    check_ejr_plus_approval,
+    check_jr,
+    compute_metrics,
     derive_seed,
     mes,
     parse_config,
+    proportional_quota,
+    random_order,
     run_experiment,
+    run_rule,
     sample,
+    satisfaction,
     verify_thm_mes,
     verify_thm_nash,
     write_native,
@@ -33,6 +41,7 @@ from streamelect.harness import (
     single_approval_election,
     CSV_FIELDS,
     _culture_of,
+    _instances,
     aggregate_best_counts,
     aggregate_exp1,
     aggregate_exp4,
@@ -42,7 +51,7 @@ from streamelect.harness import (
 )
 from streamelect.metrics import HIGHER_BETTER, LOWER_BETTER
 from streamelect.rules_online import ONLINE_RULE_IDS
-from streamelect.samplers import SampleSpec
+from streamelect.samplers import CULTURE_TABLE, SampleSpec
 
 
 class TestDeriveSeed:
@@ -279,6 +288,87 @@ class TestRunCell:
         records = run_cell(spec.instance_id(), sample(spec), seed=4, spec=spec)
         assert all(r.quota_deserved == 2 for r in records)
         assert all(r.quota_received is not None for r in records)
+
+
+def fresh_records(instance_id, election, seeds, spec=None):
+    """The records of one instance, each rule called and each committee
+    evaluated anew, with durations left at 0."""
+    records = []
+    for seed in seeds:
+        order = random_order(election.num_candidates, seed)
+        for rule in ALL_RULE_IDS:
+            if rule == "offline-mes":
+                committee, _ = mes(election)
+            else:
+                committee = run_rule(rule, election, order)
+            fields = {}
+            if election.is_approval:
+                report = check_ejr_plus_approval(election, committee)
+                fields["ejr_plus_share"] = report.violating_voter_share
+                fields["ejr_plus_shortfall"] = report.shortfall
+                fields["ejr_plus_witnesses"] = len({w.candidates[0] for w in report.witnesses})
+            if spec is not None and spec.culture == "polarized":
+                fields["quota_deserved"], fields["quota_received"] = proportional_quota(
+                    spec, committee
+                )
+            records.append(
+                RunRecord(
+                    instance=instance_id,
+                    rule=rule,
+                    seed=seed,
+                    k=election.committee_size,
+                    committee=committee.sorted_members(),
+                    metrics=compute_metrics(satisfaction(election, committee)),
+                    jr_satisfied=check_jr(election, committee).satisfied,
+                    **fields,
+                )
+            )
+    return records
+
+
+def without_durations(records):
+    return [dataclasses.replace(r, duration=0.0) for r in records]
+
+
+class TestEvaluationMemo:
+    """Evaluating each distinct committee once per instance changes no field
+    but `duration`."""
+
+    @given(
+        experiment=st.sampled_from(("exp3", "exp4")),
+        instances=st.integers(1, 3),
+        iterations=st.integers(1, 4),
+        base_seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_experiment_records_equal_fresh_evaluations(
+        self, experiment, instances, iterations, base_seed
+    ):
+        cfg = ExperimentConfig(
+            experiment, instances=instances, iterations=iterations, base_seed=base_seed
+        )
+        records, _, _ = run_experiment(cfg)
+        expected = []
+        for instance_id, election, spec in _instances(cfg, []):
+            seeds = [
+                derive_seed(base_seed, instance_id, election.committee_size, i)
+                for i in range(1, iterations + 1)
+            ]
+            expected.extend(fresh_records(instance_id, election, seeds, spec))
+        assert without_durations(records) == expected
+        assert all(r.duration > 0.0 for r in records)
+
+    @given(culture=st.sampled_from(CULTURES), seed=st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_cell_records_equal_fresh_evaluations(self, culture, seed):
+        """Every culture, cardinal ballots included, through run_cell."""
+        parameters = CULTURE_TABLE[culture][1]
+        spec = SampleSpec(culture, 12, 8, 3, seed, **{p: 0.5 for p in parameters if parameters[p]})
+        election = sample(spec)
+        records = run_cell(spec.instance_id(), election, seed, spec=spec)
+        assert without_durations(records) == fresh_records(
+            spec.instance_id(), election, (seed,), spec
+        )
 
 
 class TestCultureOf:
