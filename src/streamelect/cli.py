@@ -21,7 +21,7 @@ from .axioms import (
 )
 from .core import ArrivalOrder, Committee, random_order
 from .harness import parse_config, run_experiment, verify_thm_mes, verify_thm_nash
-from .io import ParseError, read_ids, read_native, write_ids, write_native
+from .io import ParseError, read_ids, read_native, read_order, write_ids, write_native
 from .rules_online import ONLINE_RULE_IDS, run_rule
 from .samplers import CULTURE_TABLE, CULTURES, SampleSpec, sample
 
@@ -47,12 +47,8 @@ def _parse_order(value, num_candidates):
     try:
         seed = int(value)
     except ValueError:
-        ids = read_ids(value, num_candidates)
-    else:
-        return random_order(num_candidates, seed)
-    if len(ids) != num_candidates:
-        raise ValueError(f"order lists {len(ids)} candidates, instance has {num_candidates}")
-    return ArrivalOrder(ids)
+        return read_order(value, num_candidates)
+    return random_order(num_candidates, seed)
 
 
 def cmd_run(args):

@@ -210,12 +210,6 @@ def derive_seed(base_seed, instance_id, k, iteration):
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
-def run_cell(instance_id, election, seed, spec=None):
-    """Evaluate all online rules plus the offline baseline on one arrival
-    order; returns the records in canonical rule order."""
-    return _run_instance(instance_id, election, (seed,), spec)
-
-
 def _run_instance(instance_id, election, seeds, spec):
     """The records of one instance, for each of `seeds` in turn, each in
     canonical rule order.
@@ -535,6 +529,12 @@ class MesTheoremReport:
     passed: bool
 
 
+def _monte_carlo_floor(bound, orders):
+    """`bound` minus three binomial standard deviations of a frequency of
+    probability `bound` over `orders` draws."""
+    return bound - 3.0 * math.sqrt(bound * (1.0 - bound) / orders)
+
+
 def verify_thm_mes(cfg):
     """Monte Carlo check of the hiring guarantee of online equal shares.
 
@@ -562,13 +562,10 @@ def verify_thm_mes(cfg):
             hire_counts[c] += 1
         if len(hired) >= k - cfg.p:
             joint_count += 1
-    sigma = math.sqrt(0.368 * 0.632 / orders)
-    inv_e = 1.0 / math.e
     frequencies = {c: hire_counts[c] / orders for c in winners}
-    per_threshold = inv_e - 3.0 * sigma
-    joint_bound = inv_e ** (k - cfg.p)
-    joint_sigma = math.sqrt(joint_bound * (1.0 - joint_bound) / orders)
-    joint_threshold = joint_bound - 3.0 * joint_sigma
+    inv_e = 1.0 / math.e
+    per_threshold = _monte_carlo_floor(inv_e, orders)
+    joint_threshold = _monte_carlo_floor(inv_e ** (k - cfg.p), orders)
     joint_frequency = joint_count / orders
     passed = all(f >= per_threshold for f in frequencies.values()) and (
         joint_frequency >= joint_threshold

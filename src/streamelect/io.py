@@ -16,7 +16,9 @@ The native format is line-oriented and value-exact under round-trips:
 Ids in files, on the command line and in printed output are 1-based, and
 `read_ids` and `write_ids` own that convention. An id list is separated by
 blanks or commas; `read_ids` refuses, by name, a token that is not an
-integer, a candidate id outside 1..m and an id listed twice.
+integer, a candidate id outside 1..m and an id listed twice. `read_order`
+reads an arrival order, in a file or on the command line, as such a list
+of all m candidates.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ class PabulibInstance:
     votes: dict
 
 
-SECTIONS = ("META", "PROJECTS", "VOTES")
+# The columns each data section's header must hold, the row's id first.
+COLUMNS = {"PROJECTS": ("project_id",), "VOTES": ("voter_id", "vote")}
+SECTIONS = ("META", *COLUMNS)
 
 
 def parse_pabulib(text):
@@ -63,9 +67,8 @@ def parse_pabulib(text):
     meta = {}
     meta_lines = {}
     section_lines = {}
-    projects = []
-    project_set = set()
-    votes = {}
+    # Each data section's rows: id -> the project ids its other columns list.
+    rows = {name: {} for name in COLUMNS}
     section = None
     header = None
     for lineno, raw in enumerate(lines, start=1):
@@ -88,36 +91,28 @@ def parse_pabulib(text):
                 continue
             meta[fields[0]] = fields[1]
             meta_lines[fields[0]] = lineno
-        elif section == "PROJECTS":
-            if header is None:
-                header = fields
-                if "project_id" not in header:
-                    raise ParseError(f"line {lineno}: PROJECTS header lacks project_id")
-                continue
-            _check_width(lineno, fields, header)
-            pid = fields[header.index("project_id")]
-            if pid in project_set:
-                raise ParseError(f"line {lineno}: duplicate project id {pid!r}")
-            project_set.add(pid)
-            projects.append(pid)
-        else:
-            if header is None:
-                header = fields
-                for needed in ("voter_id", "vote"):
-                    if needed not in header:
-                        raise ParseError(f"line {lineno}: VOTES header lacks {needed}")
-                continue
-            _check_width(lineno, fields, header)
-            voter = fields[header.index("voter_id")]
-            if voter in votes:
-                raise ParseError(f"line {lineno}: duplicate voter id {voter!r}")
-            raw_vote = fields[header.index("vote")]
-            approved = tuple(v.strip() for v in raw_vote.split(",") if v.strip())
-            for pid in approved:
-                if pid not in project_set:
-                    raise ParseError(f"line {lineno}: vote names unknown project {pid!r}")
-            votes[voter] = approved
-    for name, content in zip(SECTIONS, (meta, projects, votes)):
+            continue
+        columns = COLUMNS[section]
+        if header is None:
+            for needed in columns:
+                if needed not in fields:
+                    raise ParseError(f"line {lineno}: {section} header lacks {needed}")
+            header = fields
+            continue
+        if len(fields) < len(header):
+            raise ParseError(
+                f"line {lineno}: expected {len(header)} fields as in the header, found {len(fields)}"
+            )
+        row_id, *lists = (fields[header.index(column)] for column in columns)
+        if row_id in rows[section]:
+            kind = columns[0].removesuffix("_id")
+            raise ParseError(f"line {lineno}: duplicate {kind} id {row_id!r}")
+        approved = tuple(p.strip() for ids in lists for p in ids.split(",") if p.strip())
+        for pid in approved:
+            if pid not in rows["PROJECTS"]:
+                raise ParseError(f"line {lineno}: vote names unknown project {pid!r}")
+        rows[section][row_id] = approved
+    for name, content in {"META": meta, **rows}.items():
         if not content:
             lineno = section_lines.get(name, len(lines) + 1)
             raise ParseError(f"line {lineno}: missing or empty section {name}")
@@ -127,6 +122,7 @@ def parse_pabulib(text):
             f"line {meta_lines['vote_type']}: unsupported vote_type {vote_type!r};"
             " only approval ballots are handled"
         )
+    projects, votes = rows["PROJECTS"], rows["VOTES"]
     for key, count in (("num_projects", len(projects)), ("num_votes", len(votes))):
         if key not in meta:
             continue
@@ -139,13 +135,6 @@ def parse_pabulib(text):
         if declared != count:
             raise ParseError(f"line {meta_lines[key]}: meta {key}={meta[key]} but file has {count}")
     return PabulibInstance(meta=meta, projects=tuple(projects), votes=votes)
-
-
-def _check_width(lineno, fields, header):
-    if len(fields) < len(header):
-        raise ParseError(
-            f"line {lineno}: expected {len(header)} fields as in the header, found {len(fields)}"
-        )
 
 
 def to_election(instance, k):
@@ -184,6 +173,15 @@ def read_ids(text, num_candidates):
             raise ValueError(f"candidate {c} is listed twice")
         seen.add(c)
     return tuple(c - 1 for c in ids)
+
+
+def read_order(text, num_candidates):
+    """The ArrivalOrder of a list of all m 1-based candidate ids, read with
+    `read_ids`."""
+    ids = read_ids(text, num_candidates)
+    if len(ids) != num_candidates:
+        raise ValueError(f"order lists {len(ids)} of {num_candidates} candidates")
+    return ArrivalOrder(ids)
 
 
 def write_ids(ids):
@@ -234,12 +232,9 @@ def read_native(text):
     if body and body[0][1].startswith("order:"):
         lineno, order_line = body[0]
         try:
-            ids = read_ids(order_line[len("order:"):], m)
+            order = read_order(order_line[len("order:"):], m)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad order ({exc})") from None
-        if len(ids) != m:
-            raise ParseError(f"line {lineno}: order lists {len(ids)} of {m} candidates")
-        order = ArrivalOrder(ids)
         body = body[1:]
     if len(body) != n:
         # A short body is missing the row after its last line; a long one

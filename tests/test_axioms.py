@@ -294,7 +294,12 @@ def outcomes(draw):
 class TestLattice:
     """The checkers imply one another, so each is an oracle for the others.
     Strong JR => JR is left out: the strong JR checker takes its group
-    maximum over every voter at the threshold, served or not."""
+    maximum over every voter at the threshold, served or not.
+
+    The `mes` core satisfies EJR on approval ballots, and on any ballots the
+    core and the completed committee satisfy EJR up to one project
+    (Peters, Pierczyński & Skowron, NeurIPS 2021), which `gamma=1` states:
+    each voter's best non-member utility is added to their satisfaction."""
 
     @given(outcomes())
     @settings(max_examples=100, deadline=None)
@@ -307,14 +312,23 @@ class TestLattice:
             assert jr.witnesses == tuple(w for w in plus.witnesses if w.alphas == (1.0,))
             assert ejr.satisfied or not plus.satisfied
             assert jr.satisfied or not ejr.satisfied
-            _, trace = mes(election)
-            assert check_ejr_bruteforce(election, Committee(trace.core_members())).satisfied
         if ejr.satisfied:
             for relaxation in (
                 {"beta": 1.0}, {"beta": 1.7}, {"gamma": 0}, {"gamma": 1},
                 {"delta": 1.0}, {"delta": 1.6},
             ):
                 assert check_ejr_bruteforce(election, committee, **relaxation).satisfied
+
+    @given(outcomes())
+    @settings(max_examples=100, deadline=None)
+    def test_mes_up_to_one_project(self, outcome):
+        election, _ = outcome
+        completed, trace = mes(election)
+        core = Committee(trace.core_members())
+        if election.is_approval:
+            assert check_ejr_bruteforce(election, core).satisfied
+        for committee in (core, completed):
+            assert check_ejr_bruteforce(election, committee, gamma=1).satisfied
 
 
 def naive_report(witnesses, n, shortfall=None):

@@ -59,7 +59,7 @@ class TestRun:
         assert main(
             ["run", "greedy", "--instance", instance_file, "--order", "1 2 3"]
         ) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: order lists 3 of 6 candidates\n"
 
     @pytest.mark.parametrize(
         "order, error",

@@ -103,6 +103,58 @@ class TestParsePabulib:
         with pytest.raises(ParseError, match=f"line {lineno}: expected 2 fields.*found 1"):
             parse_pabulib(text)
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ((("META\n", "x\nMETA\n"),), "line 1: content before any section header"),
+            ((("description;tiny", "description"),), "line 3: META rows need key;value"),
+            ((("project_id;cost", "name;cost"),), "line 6: PROJECTS header lacks project_id"),
+            ((("p2;100", "p2"),), "line 8: expected 2 fields as in the header, found 1"),
+            ((("p2;100", "p1;100"),), "line 8: duplicate project id 'p1'"),
+            ((("voter_id;vote", "voter;vote"),), "line 11: VOTES header lacks voter_id"),
+            ((("voter_id;vote", "voter_id;ballot"),), "line 11: VOTES header lacks vote"),
+            ((("voter_id;vote", "id;ballot"),), "line 11: VOTES header lacks voter_id"),
+            ((("v2;p3", "v2"),), "line 13: expected 2 fields as in the header, found 1"),
+            ((("v2;p3", "v1;p3"),), "line 13: duplicate voter id 'v1'"),
+            ((("v2;p3", "v2;p9"),), "line 13: vote names unknown project 'p9'"),
+            ((("v2;p3", "v1;p9"),), "line 13: duplicate voter id 'v1'"),
+            ((("v2;p3", "v2;p3,p1,p9"),), "line 13: vote names unknown project 'p9'"),
+            (
+                (("description;tiny\nvote_type;approval\n", ""),),
+                "line 1: missing or empty section META",
+            ),
+            (
+                (("p1;100\np2;100\np3;100\n", ""), ("v1;p1,p2\nv2;p3\n", "")),
+                "line 5: missing or empty section PROJECTS",
+            ),
+            (
+                (("VOTES\nvoter_id;vote\nv1;p1,p2\nv2;p3\n", ""),),
+                "line 10: missing or empty section VOTES",
+            ),
+            (
+                (("vote_type;approval", "vote_type;ordinal"),),
+                "line 4: unsupported vote_type 'ordinal'; only approval ballots are handled",
+            ),
+            (
+                (("description;tiny", "num_votes;lots"),),
+                "line 3: meta num_votes='lots' is not an integer",
+            ),
+            (
+                (("description;tiny", "num_projects;7"),),
+                "line 3: meta num_projects=7 but file has 3",
+            ),
+        ],
+    )
+    def test_every_error_message(self, edits, message):
+        """Each ParseError of the parser, with its full message, in the
+        order the checks fire."""
+        text = MINIMAL
+        for old, new in edits:
+            text = text.replace(old, new)
+        with pytest.raises(ParseError) as info:
+            parse_pabulib(text)
+        assert str(info.value) == message
+
 
 class TestToElection:
     def test_matrix_layout(self):
@@ -165,6 +217,10 @@ class TestNativeFormat:
             ("1 2\n1;1\n", "header must be"),
             ("a b c\n1;1\n", "malformed header"),
             ("2 3 2\norder: 1 2\n1;0;0\n0;1;1\n", "order lists 2 of 3"),
+            (
+                "2 3 2\norder: 3 1\n1;0;0\n0;1;1\n",
+                r"^line 2: bad order \(order lists 2 of 3 candidates\)$",
+            ),
             ("2 3 2\norder: 1 x 3\n1;0;0\n0;1;1\n", "bad order"),
             ("2 4 2\norder: 1 x 3 4\n1;0;0;1\n0;1;1;0\n", "^line 2: .*got 'x'"),
             ("2 4 2\norder: 1 1 3 4\n1;0;0;1\n0;1;1;0\n", "^line 2: .*candidate 1 is listed twice"),

@@ -277,16 +277,18 @@ class TestMes:
         assert trace.rounds[0].candidate == 0
 
     def test_cardinal_core_can_fail_ejr(self):
-        # The core satisfies EJR on approval ballots only (see
+        # The core satisfies exact EJR on approval ballots only (see
         # tests/test_axioms.py::TestLattice); on these cardinal ballots
         # neither the core nor the completed committee reaches voter 1's
-        # cohesive demand of 2.169 for candidate 3.
+        # cohesive demand of 2.169 for candidate 3. Both satisfy EJR up to
+        # one project, the guarantee on any ballots.
         e = Election([[0, 2.38, 2.381, 0], [1.498, 1.829, 0, 2.169]], 2)
         committee, trace = mes(e)
         assert committee.sorted_members() == (1, 2)
         assert trace.core_members() == frozenset({1})
-        assert not check_ejr_bruteforce(e, committee).satisfied
-        assert not check_ejr_bruteforce(e, Committee(trace.core_members())).satisfied
+        for outcome in (committee, Committee(trace.core_members())):
+            assert not check_ejr_bruteforce(e, outcome).satisfied
+            assert check_ejr_bruteforce(e, outcome, gamma=1).satisfied
 
 
 class TestBos:

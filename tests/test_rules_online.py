@@ -1,4 +1,7 @@
+import collections
+import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,7 @@ from streamelect import (
     online_nash,
     bounded_overspending_subset,
     equal_shares_subset,
+    mes,
     random_order,
     run_rule,
     seeded_rng,
@@ -379,3 +383,51 @@ class TestAuditContracts:
         assume(not any(completions))
         bos_run = online_bos(election, order, t)
         assert (bos_run.members, bos_run.audit) == (mes_run.members, mes_run.audit)
+
+
+# e rounded down, so that 1/E_BELOW exceeds 1/e.
+E_BELOW = Fraction(2718281828459045, 10**15)
+
+
+class TestExactHireBounds:
+    """Over every arrival order of a single-approval election (2 voters per
+    winner, default exploration length), each reference winner is hired with
+    probability at least 1/e, and at least k - p winners are hired together
+    with probability at least (1/e)^(k - p), for every p < k. Probabilities
+    are exact fractions; meeting the powers of 1/E_BELOW > 1/e proves each
+    bound with no slack."""
+
+    @pytest.mark.parametrize("m, k", [(5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 3)])
+    def test_every_order(self, m, k):
+        matrix = np.zeros((2 * k, m))
+        for c in range(k):
+            matrix[2 * c : 2 * c + 2, c] = 1.0
+        election = Election(matrix, k)
+        winners = sorted(mes(election)[0].members)
+        memo = {}
+
+        def subset_rule(election, candidates, _cache):
+            # equal_shares_subset sorts its candidates, so the set decides.
+            key = frozenset(candidates)
+            if key not in memo:
+                memo[key] = equal_shares_subset(election, candidates)[0]
+            return memo[key], None
+
+        hires = collections.Counter()
+        hired_counts = collections.Counter()
+        orders = 0
+        for permutation in itertools.permutations(range(m)):
+            order = ArrivalOrder(permutation)
+            members = rules_online._displacement_rule(election, order, None, subset_rule).members
+            if orders < 20:
+                assert members == online_mes(election, order).members
+            hired = [c for c in winners if c in members]
+            hires.update(hired)
+            hired_counts[len(hired)] += 1
+            orders += 1
+        assert orders == math.factorial(m)
+        for c in winners:
+            assert Fraction(hires[c], orders) >= 1 / E_BELOW
+        for p in range(k):
+            joint = sum(count for h, count in hired_counts.items() if h >= k - p)
+            assert Fraction(joint, orders) >= (1 / E_BELOW) ** (k - p)
