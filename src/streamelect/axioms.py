@@ -156,6 +156,26 @@ def check_ejr_plus_approval(election, committee):
     return _report("ejr-plus", witnesses, n, shortfall=shortfall)
 
 
+def _subset_tables(utilities, achieved):
+    """Size, per-candidate minimum utility and best achievement of every
+    subset of the given voters, indexed by bit mask (bit i is row i).
+
+    Each mask extends the mask without its highest bit by that one voter, so
+    the tables fill one bit at a time. The empty set holds the identities
+    0, +inf and -inf.
+    """
+    p, m = utilities.shape
+    size = np.zeros(1 << p, dtype=np.int64)
+    alpha = np.full((1 << p, m), np.inf)
+    best = np.full(1 << p, -np.inf)
+    for i in range(p):
+        top = 1 << i
+        size[top : 2 * top] = size[:top] + 1
+        np.minimum(alpha[:top], utilities[i], out=alpha[top : 2 * top])
+        np.maximum(best[:top], achieved[i], out=best[top : 2 * top])
+    return size, alpha, best
+
+
 def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=None):
     """Exhaustive check of EJR or one of its relaxations.
 
@@ -165,6 +185,24 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
     best admissible candidate set (largest alphas first among alpha > 0), so
     the check is exact. beta=1, gamma=0 and delta=1 all coincide with exact
     EJR.
+
+    EJR checking is coNP-complete (Aziz et al., 2017), so all 2^n groups are
+    visited, and n is capped at BRUTE_FORCE_VOTER_CAP. A group is a bit mask
+    over the voters. The first L = min(n, 8) voters form the low part and
+    the rest the high part, and each part gets subset tables of group size,
+    alpha and best achievement (`_subset_tables`). For each high mask h in
+    ascending order, one block combines the whole low tables with entry h
+    of the high tables, so the masks (h << L) | low, and the witnesses, come
+    in ascending mask order. Working memory is O((2^L + 2^(n-L)) m): the
+    block buffers are allocated once per call, and no table of all 2^n
+    groups is built.
+
+    In each block a screen sums the t_max largest alphas of every group and
+    keeps the groups whose best achievement falls short by a slack wider
+    than any summation-order error. Only those groups are checked exactly,
+    one at a time: T ranked by (-alpha, candidate id) and the requirement
+    summed as `alpha[T].sum()`, in numpy's order. So the screen never
+    decides a verdict, it only skips groups that cannot violate.
     """
     relaxations = {"beta": beta, "gamma": gamma, "delta": delta}
     given = [name for name, value in relaxations.items() if value is not None]
@@ -191,34 +229,54 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
         topped = np.sort(utilities[:, outside], axis=1)[:, ::-1]
         achieved = achieved + topped[:, : int(gamma)].sum(axis=1)
     divisor = beta if beta is not None else 1.0
+    # Largest admissible |T| for a group of each size.
+    if delta is not None:
+        t_max = [int(size * k / (delta * n) + CHECK_EPS) for size in range(n + 1)]
+    else:
+        t_max = [(size * k) // n for size in range(n + 1)]
+    last = np.minimum(t_max, m) - 1
+    low = min(n, 8)
+    low_size, low_alpha, low_best = _subset_tables(utilities[:low], achieved[:low])
+    high_size, high_alpha, high_best = _subset_tables(utilities[low:], achieved[low:])
+    lanes = np.arange(1 << low)
+    sorted_alphas = np.empty_like(low_alpha)
+    # totals[:, t - 1] sums each group's t largest alphas, for t up to the
+    # largest |T| any group may claim.
+    width = int(last.max()) + 1
+    totals = np.empty((1 << low, width))
+    best = np.empty_like(low_best)
     witnesses = []
     voters = np.arange(n)
-    for mask in range(1, 1 << n):
-        rows = voters[[(mask >> i) & 1 == 1 for i in range(n)]]
-        size = rows.size
-        if delta is not None:
-            t_max = int(size * k / (delta * n) + CHECK_EPS)
-        else:
-            t_max = (size * k) // n
-        if t_max == 0:
-            continue
-        alpha = utilities[rows].min(axis=0)
-        positive = np.nonzero(alpha > 0.0)[0]
-        if positive.size == 0:
-            continue
-        ranked = sorted(positive, key=lambda c: (-alpha[c], c))[:t_max]
-        required = float(alpha[ranked].sum()) / divisor
-        best = float(achieved[rows].max())
-        if best < required - CHECK_EPS:
-            witnesses.append(
-                Witness(
-                    group=tuple(int(i) for i in rows),
-                    candidates=tuple(int(c) for c in ranked),
-                    alphas=tuple(float(alpha[c]) for c in ranked),
-                    required=required,
-                    achieved=best,
+    for h in range(high_size.size):
+        np.minimum(low_alpha, high_alpha[h], out=sorted_alphas)
+        sorted_alphas.sort(axis=1)
+        np.cumsum(sorted_alphas[:, ::-1][:, :width], axis=1, out=totals)
+        np.maximum(low_best, high_best[h], out=best)
+        lasts = last[low_size + high_size[h]]
+        # The screen's sum differs from the exact one by at most 2 m ulps of
+        # the total (about 1e-14 relative at m = 64), so the relative slack
+        # keeps every violating group; an all-zero alpha screens at 0 and is
+        # never kept.
+        screen = totals[lanes, lasts] / divisor
+        kept = (lasts >= 0) & (best < screen - CHECK_EPS + 1e-12 * screen)
+        for j in kept.nonzero()[0].tolist():
+            mask = (h << low) | j
+            rows = np.flatnonzero((mask >> voters) & 1)
+            alpha = utilities[rows].min(axis=0)
+            positive = np.nonzero(alpha > 0.0)[0]
+            ranked = sorted(positive, key=lambda c: (-alpha[c], c))[: t_max[rows.size]]
+            required = float(alpha[ranked].sum()) / divisor
+            achieved_best = float(achieved[rows].max())
+            if achieved_best < required - CHECK_EPS:
+                witnesses.append(
+                    Witness(
+                        group=tuple(int(i) for i in rows),
+                        candidates=tuple(int(c) for c in ranked),
+                        alphas=tuple(float(alpha[c]) for c in ranked),
+                        required=required,
+                        achieved=achieved_best,
+                    )
                 )
-            )
     return _report("-".join(["ejr", *given]), witnesses, n)
 
 

@@ -1,14 +1,17 @@
 """Axiom checkers and adversarial constructions."""
 
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from streamelect import (
+    BRUTE_FORCE_VOTER_CAP,
     ONLINE_RULE_IDS,
     ArrivalOrder,
     BallotTypeError,
@@ -27,7 +30,7 @@ from streamelect import (
     sample,
     satisfaction,
 )
-from streamelect.axioms import CONSTRUCTION_IDS, DOCUMENTED_ORDERS
+from streamelect.axioms import CHECK_EPS, CONSTRUCTION_IDS, DOCUMENTED_ORDERS
 from streamelect.samplers import SampleSpec, proportional_quota
 
 from conftest import random_approval_election
@@ -418,6 +421,146 @@ class TestCheckersMatchNaiveLoops:
         election, committee = outcome
         report = check_ejr_plus_approval(election, committee)
         assert_reports_match(report, naive_ejr_plus(election, committee))
+
+
+def naive_ejr_bruteforce(election, committee, beta=None, gamma=None, delta=None):
+    """EJR and its relaxations by one pass per voter mask, in ascending mask
+    order."""
+    n, m, k = election.num_voters, election.num_candidates, election.committee_size
+    utilities = election.utilities
+    achieved = satisfaction(election, committee)
+    if gamma:
+        outside = [c for c in range(m) if c not in set(committee)]
+        topped = np.sort(utilities[:, outside], axis=1)[:, ::-1]
+        achieved = achieved + topped[:, : int(gamma)].sum(axis=1)
+    divisor = beta if beta is not None else 1.0
+    witnesses = []
+    voters = np.arange(n)
+    for mask in range(1, 1 << n):
+        rows = voters[[(mask >> i) & 1 == 1 for i in range(n)]]
+        size = rows.size
+        if delta is not None:
+            t_max = int(size * k / (delta * n) + CHECK_EPS)
+        else:
+            t_max = (size * k) // n
+        if t_max == 0:
+            continue
+        alpha = utilities[rows].min(axis=0)
+        positive = np.nonzero(alpha > 0.0)[0]
+        if positive.size == 0:
+            continue
+        ranked = sorted(positive, key=lambda c: (-alpha[c], c))[:t_max]
+        required = float(alpha[ranked].sum()) / divisor
+        best = float(achieved[rows].max())
+        if best < required - CHECK_EPS:
+            witnesses.append(
+                Witness(
+                    tuple(int(i) for i in rows),
+                    tuple(int(c) for c in ranked),
+                    tuple(float(alpha[c]) for c in ranked),
+                    required,
+                    best,
+                )
+            )
+    return naive_report(witnesses, n)
+
+
+@st.composite
+def ejr_inputs(draw):
+    """(election, committee, relaxation) with n <= 10, m <= 20, 2 <= k < m and
+    a committee of at most k candidates. Utilities come from one small grid,
+    with zeros and ties, or from uniform draws, possibly scaled by 1e6. Delta
+    reaches down to 0.05, where |T| may exceed both k and m."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(3, 20))
+    k = draw(st.integers(2, m - 1))
+    value = draw(
+        st.sampled_from(
+            [
+                st.sampled_from([0.0, 1.0]),
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7]),
+                st.floats(0.0, 5.0),
+            ]
+        )
+    )
+    scale = draw(st.sampled_from([1.0, 1e6]))
+    utilities = draw(arrays(np.float64, (n, m), elements=value)) * scale
+    members = draw(st.sets(st.integers(0, m - 1), max_size=k))
+    relaxation = draw(
+        st.sampled_from(["exact", "beta", "gamma", "delta"]).flatmap(
+            lambda name: {
+                "exact": st.just({}),
+                "beta": st.floats(1.0, 3.0).map(lambda b: {"beta": b}),
+                "gamma": st.integers(0, 2).map(lambda g: {"gamma": g}),
+                "delta": st.one_of(
+                    st.sampled_from([0.1, 0.5, 1.0, 1.5]), st.floats(0.05, float(k))
+                ).map(lambda d: {"delta": d}),
+            }[name]
+        )
+    )
+    return Election(utilities, k), tuple(members), relaxation
+
+
+def assert_ejr_matches_naive(election, committee, relaxation):
+    report = check_ejr_bruteforce(election, committee, **relaxation)
+    naive = naive_ejr_bruteforce(election, committee, **relaxation)
+    assert report.axiom == "-".join(["ejr", *relaxation])
+    assert report.satisfied == (not naive[0])
+    assert_reports_match(report, naive)
+    return report
+
+
+# Two voters who each value 12 candidates at distinct non-dyadic levels; at
+# delta = 0.1 a single voter may claim |T| = 10, so the requirement is a
+# numpy sum of 10 alphas.
+WIDE_T = Election([[0.1 * (j + 1) + 0.01 * i for j in range(12)] for i in range(2)], 2)
+
+# Both voters value candidates 0-7 at 0.5, 0.6, ..., 1.2, and only voter 1
+# values the winner, candidate 8, at 6.8 - CHECK_EPS. numpy's sum of the
+# pair's eight alphas is one ulp above their left-to-right sum, 6.8, and the
+# pair is a witness by that ulp alone.
+SHARED = [0.5 + 0.1 * j for j in range(8)]
+ONE_ULP_SHORT = Election([SHARED + [0.0, 0.0], SHARED + [6.8 - CHECK_EPS, 0.0]], 8)
+
+
+class TestEjrBruteforceMatchesNaiveLoop:
+    """The block-wise checker reports exactly what one pass per voter mask
+    reports: the same witnesses in ascending mask order, ties in T ranked by
+    candidate id, the same requirements to the bit, share and shortfall."""
+
+    @given(ejr_inputs())
+    @example((WIDE_T, (), {"delta": 0.1}))
+    @example((WIDE_T, (0, 1), {"delta": 0.05}))
+    @example((ONE_ULP_SHORT, (8,), {}))
+    @settings(max_examples=200, deadline=None)
+    def test_random_inputs(self, case):
+        assert_ejr_matches_naive(*case)
+
+    def test_voter_cap(self):
+        election = sample(SampleSpec("mallows", BRUTE_FORCE_VOTER_CAP, 12, 3, seed=0, phi=0.6))
+        report = assert_ejr_matches_naive(election, (3, 5, 9), {"delta": 0.5})
+        assert max(w.group[-1] for w in report.witnesses) == BRUTE_FORCE_VOTER_CAP - 1
+
+    def test_examples_reach_their_cases(self):
+        report = check_ejr_bruteforce(WIDE_T, (), delta=0.1)
+        assert {len(w.candidates) for w in report.witnesses} == {10, 12}
+        pair = check_ejr_bruteforce(ONE_ULP_SHORT, (8,)).witnesses[-1]
+        assert pair.group == (0, 1)
+        assert pair.required == math.nextafter(6.8, 7.0)
+
+    def test_working_memory_at_the_cap(self):
+        """One call at n = 15, m = 64 allocates under 2 MB at its peak; a
+        table with one alpha row per group would take 16 MB."""
+        election = sample(SampleSpec("ic", BRUTE_FORCE_VOTER_CAP, 64, 6, seed=1, p=0.5))
+        committee = tuple(range(6))
+        tracemalloc.start()
+        try:
+            report = check_ejr_bruteforce(election, committee)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.satisfied
+        assert peak < 2 * 2**20
 
 
 class TestMakeCounterexample:

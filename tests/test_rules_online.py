@@ -397,7 +397,9 @@ class TestExactHireBounds:
     are exact fractions; meeting the powers of 1/E_BELOW > 1/e proves each
     bound with no slack."""
 
-    @pytest.mark.parametrize("m, k", [(5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 3)])
+    @pytest.mark.parametrize(
+        "m, k", [(4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (8, 4)]
+    )
     def test_every_order(self, m, k):
         matrix = np.zeros((2 * k, m))
         for c in range(k):
