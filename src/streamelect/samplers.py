@@ -90,25 +90,6 @@ def _sample_ic(rng, spec):
     return matrix, 200.0
 
 
-def _insertion_ranking(rng, m, phi):
-    """One Mallows ranking (best first) around the identity central order via
-    repeated insertion: item j lands at position p with odds phi^(j-p)."""
-    ranking = [0]
-    for j in range(1, m):
-        weights = phi ** (j - np.arange(j + 1))
-        total = weights.sum()
-        draw = rng.random() * total
-        acc = 0.0
-        position = j
-        for p in range(j + 1):
-            acc += weights[p]
-            if draw < acc:
-                position = p
-                break
-        ranking.insert(position, j)
-    return ranking
-
-
 def expected_swap_distance(phi, m):
     """Expected swap distance of a Mallows ranking from the central order.
 
@@ -142,19 +123,32 @@ def dispersion_from_normalized(norm, m):
 
 def _sample_mallows(rng, spec):
     """Mallows culture: rankings from repeated insertion around the identity
-    order; the rank-r candidate scores 200 (m - r) / (m - 1), r = 1 best,
-    plus Uniform(-10, 10) jitter clamped into [0, 200] unless noise=False.
+    order, item j landing at position p <= j with odds phi^(j-p) (row j - 1
+    of `running` holds their running sums over p < j, +inf-padded); the
+    rank-r candidate scores 200 (m - r) / (m - 1), r = 1 best, plus
+    Uniform(-10, 10) jitter clamped into [0, 200] unless noise=False.
     For normalized-mallows, spec.phi is first mapped to the dispersion whose
     expected swap distance is that fraction of the uniform expectation."""
     n, m = spec.num_voters, spec.num_candidates
     phi = spec.phi
     if spec.culture == "normalized-mallows":
         phi = dispersion_from_normalized(phi, m)
+    running = np.full((m - 1, m - 1), np.inf)
+    totals = np.empty(m - 1)
+    for j in range(1, m):
+        odds = phi ** (j - np.arange(j + 1))
+        totals[j - 1] = odds.sum()
+        running[j - 1, :j] = odds.cumsum()[:-1]
+    scores = 200.0 * (m - 1 - np.arange(m)) / (m - 1)
     matrix = np.zeros((n, m))
     for i in range(n):
-        ranking = _insertion_ranking(rng, m, phi)
-        for idx, c in enumerate(ranking):
-            matrix[i, c] = 200.0 * (m - 1 - idx) / (m - 1)
+        draws = rng.random(m - 1) * totals
+        # the first position p < j whose running odds exceed the draw, else j
+        positions = (running <= draws[:, None]).sum(axis=1)
+        ranking = [0]
+        for j, position in enumerate(positions.tolist(), start=1):
+            ranking.insert(position, j)
+        matrix[i, ranking] = scores
         if spec.noise:
             matrix[i] = np.clip(matrix[i] + rng.uniform(-10.0, 10.0, size=m), 0.0, 200.0)
     return matrix, 200.0

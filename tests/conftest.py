@@ -1,10 +1,12 @@
+import collections
+import itertools
 import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from streamelect import Election
+from streamelect import ArrivalOrder, Election
 
 pytest_plugins = ["pytester"]
 
@@ -57,3 +59,28 @@ def random_cardinal_election(rng, max_voters=10, max_candidates=10, max_k=4):
     k = int(rng.integers(2, min(max_k, m - 1) + 1))
     matrix = np.round(rng.random((n, m)) * 10.0, 3)
     return Election(matrix, k)
+
+
+def committee_counts(election, rule):
+    """How many of the election's m! arrival orders make `rule(election,
+    order)` elect each committee, keyed by member set. Only for small m."""
+    return collections.Counter(
+        rule(election, ArrivalOrder(permutation)).members
+        for permutation in itertools.permutations(range(election.num_candidates))
+    )
+
+
+def winners_memo(subset_rule):
+    """A subset rule for `rules_online._displacement_rule` that calls
+    `subset_rule` once per candidate set and returns its winners with no
+    trace, so no equal-shares rounds are shared. The subset rules sort their
+    candidates, so the set decides; one memo serves one election."""
+    memo = {}
+
+    def memoised(election, candidates, _cache):
+        key = frozenset(candidates)
+        if key not in memo:
+            memo[key] = subset_rule(election, candidates)[0]
+        return memo[key], None
+
+    return memoised

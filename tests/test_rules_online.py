@@ -1,4 +1,3 @@
-import collections
 import itertools
 import math
 from fractions import Fraction
@@ -13,6 +12,7 @@ from streamelect import (
     ArrivalOrder,
     Decision,
     Election,
+    SampleSpec,
     check_jr,
     greedy_budgeting,
     online_bos,
@@ -21,14 +21,24 @@ from streamelect import (
     bounded_overspending_subset,
     equal_shares_subset,
     mes,
+    nash_optimum_bruteforce,
+    nash_welfare,
+    proportional_quota,
     random_order,
     run_rule,
+    sample,
     seeded_rng,
 )
 from streamelect import rules_online
 from streamelect.rules_online import ONLINE_RULE_IDS, _exploration_length
 
-from conftest import random_approval_election, random_cardinal_election, showcase_election
+from conftest import (
+    committee_counts,
+    random_approval_election,
+    random_cardinal_election,
+    showcase_election,
+    winners_memo,
+)
 
 IDENTITY6 = ArrivalOrder.identity(6)
 
@@ -395,7 +405,8 @@ class TestExactHireBounds:
     probability at least 1/e, and at least k - p winners are hired together
     with probability at least (1/e)^(k - p), for every p < k. Probabilities
     are exact fractions; meeting the powers of 1/E_BELOW > 1/e proves each
-    bound with no slack."""
+    bound with no slack. Off single-approval ballots the per-winner bound
+    can fail."""
 
     @pytest.mark.parametrize(
         "m, k", [(4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (8, 4)]
@@ -405,31 +416,84 @@ class TestExactHireBounds:
         for c in range(k):
             matrix[2 * c : 2 * c + 2, c] = 1.0
         election = Election(matrix, k)
-        winners = sorted(mes(election)[0].members)
-        memo = {}
+        winners = frozenset(mes(election)[0].members)
+        subset_rule = winners_memo(equal_shares_subset)
 
-        def subset_rule(election, candidates, _cache):
-            # equal_shares_subset sorts its candidates, so the set decides.
-            key = frozenset(candidates)
-            if key not in memo:
-                memo[key] = equal_shares_subset(election, candidates)[0]
-            return memo[key], None
+        def rule(election, order):
+            return rules_online._displacement_rule(election, order, None, subset_rule)
 
-        hires = collections.Counter()
-        hired_counts = collections.Counter()
-        orders = 0
-        for permutation in itertools.permutations(range(m)):
+        for permutation in itertools.islice(itertools.permutations(range(m)), 20):
             order = ArrivalOrder(permutation)
-            members = rules_online._displacement_rule(election, order, None, subset_rule).members
-            if orders < 20:
-                assert members == online_mes(election, order).members
-            hired = [c for c in winners if c in members]
-            hires.update(hired)
-            hired_counts[len(hired)] += 1
-            orders += 1
+            assert rule(election, order).members == online_mes(election, order).members
+        counts = committee_counts(election, rule)
+        orders = sum(counts.values())
         assert orders == math.factorial(m)
         for c in winners:
-            assert Fraction(hires[c], orders) >= 1 / E_BELOW
+            hires = sum(count for members, count in counts.items() if c in members)
+            assert Fraction(hires, orders) >= 1 / E_BELOW
         for p in range(k):
-            joint = sum(count for h, count in hired_counts.items() if h >= k - p)
+            joint = sum(count for members, count in counts.items() if len(members & winners) >= k - p)
             assert Fraction(joint, orders) >= (1 / E_BELOW) ** (k - p)
+
+    @pytest.mark.parametrize("rule", [online_mes, online_bos])
+    def test_cardinal_ballots_can_fall_below(self, rule):
+        """The per-winner bound is proved for single-approval elections only.
+        On these cardinal ballots `mes` elects {4, 5} in two rounds with no
+        completion, yet over all 720 orders 4 is hired in 256: 16/45 < 1/e."""
+        election = Election([[0, 4, 2, 2, 1, 5], [5, 0, 3, 3, 4, 1]], 2)
+        committee, trace = mes(election)
+        assert committee.members == {4, 5}
+        assert len(trace.rounds) == 2 and trace.completion_added == ()
+        counts = committee_counts(election, rule)
+        hires = sum(count for members, count in counts.items() if 4 in members)
+        assert Fraction(hires, sum(counts.values())) == Fraction(256, 720)
+        assert Fraction(256, 720) < 1 / math.e
+
+
+def test_nash_ratio_per_instance_at_raw_and_unit_scale():
+    """criterion-6 bounds the mean ratio pooled over sampled IC instances by
+    (1 - 1/e)/7. Over every order of one instance, the exact mean ratio of
+    `online-nash` falls below that bound at raw utility scale and clears it
+    with the utilities divided by their maximum."""
+    raw = sample(SampleSpec("ic", 5, 7, 3, seed=12, p=0.2))
+    means = []
+    for election in (raw, Election(raw.utilities / raw.utilities.max(), 3)):
+        _, optimum = nash_optimum_bruteforce(election)
+        counts = committee_counts(election, online_nash)
+        total = sum(
+            count * math.exp(nash_welfare(election, members) - optimum)
+            for members, count in counts.items()
+        )
+        means.append(total / math.factorial(7))
+    assert means == pytest.approx([0.0317, 0.4158], abs=5e-5)
+    assert means[0] < (1.0 - 1.0 / math.e) / 7.0 < means[1]
+
+
+@st.composite
+def polarized_runs(draw):
+    """(spec, order): a polarized spec with n <= 60, 4 <= m <= 24 and
+    2 <= k < m, and any arrival order."""
+    m = draw(st.integers(4, 24))
+    share = st.floats(0.0, 1.0, exclude_min=True)
+    spec = SampleSpec(
+        "polarized",
+        draw(st.integers(1, 60)),
+        m,
+        draw(st.integers(2, m - 1)),
+        seed=draw(st.integers(0, 2**32)),
+        x=draw(st.one_of(st.sampled_from([1 / 3, 1 / 2, 1.0]), share)),
+        q=draw(share),
+    )
+    return spec, ArrivalOrder(draw(st.permutations(range(m))))
+
+
+@given(polarized_runs())
+@settings(max_examples=300, deadline=None)
+def test_greedy_meets_a_quota_the_first_half_can_fill(run):
+    """Greedy gives group A its proportional quota floor(x k) under any
+    order, whenever the m // 2 group-A candidates can fill it."""
+    spec, order = run
+    deserved, _ = proportional_quota(spec, ())
+    assume(deserved <= spec.num_candidates // 2)
+    _, received = proportional_quota(spec, greedy_budgeting(sample(spec), order))
+    assert received >= deserved

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamelect import (
     SampleSpec,
@@ -14,7 +16,7 @@ from streamelect import (
     proportional_quota,
     sample,
 )
-from streamelect.samplers import CULTURES, _insertion_ranking
+from streamelect.samplers import CULTURES
 from streamelect.core import seeded_rng
 
 
@@ -218,18 +220,18 @@ class TestMallows:
         assert expected_swap_distance(0.5, 2) == pytest.approx(1 / 3)
 
     def test_expected_swap_distance_matches_sampling(self):
-        rng = seeded_rng(77)
-        phi, m, draws = 0.5, 5, 4000
+        phi, m = 0.5, 5
+        rows = sample(SampleSpec("mallows", 4000, m, 2, seed=77, phi=phi, noise=False)).utilities
         total = 0
-        for _ in range(draws):
-            ranking = _insertion_ranking(rng, m, phi)
+        for row in rows:
+            ranking = list(np.argsort(-row))
             total += sum(
                 1
                 for a in range(m)
                 for b in range(a + 1, m)
                 if ranking.index(a) > ranking.index(b)
             )
-        assert total / draws == pytest.approx(expected_swap_distance(phi, m), abs=0.15)
+        assert total / len(rows) == pytest.approx(expected_swap_distance(phi, m), abs=0.15)
 
     def test_normalized_dispersion_inverts(self):
         for norm in (0.2, 0.6):
@@ -251,6 +253,67 @@ class TestMallows:
             )
         )
         assert np.array_equal(normed.utilities, raw.utilities)
+
+
+def reference_insertion_ranking(rng, m, phi):
+    """One Mallows ranking (best first) around the identity order, item j
+    inserted at position p with odds phi^(j-p), which are rebuilt for every
+    item of every voter and scanned left to right."""
+    ranking = [0]
+    for j in range(1, m):
+        weights = phi ** (j - np.arange(j + 1))
+        total = weights.sum()
+        draw = rng.random() * total
+        acc = 0.0
+        position = j
+        for p in range(j + 1):
+            acc += weights[p]
+            if draw < acc:
+                position = p
+                break
+        ranking.insert(position, j)
+    return ranking
+
+
+def reference_mallows(spec):
+    """The utility matrix of a Mallows spec, one scalar draw and one entry
+    at a time."""
+    rng = seeded_rng(spec.seed)
+    n, m = spec.num_voters, spec.num_candidates
+    phi = spec.phi
+    if spec.culture == "normalized-mallows":
+        phi = dispersion_from_normalized(phi, m)
+    matrix = np.zeros((n, m))
+    for i in range(n):
+        ranking = reference_insertion_ranking(rng, m, phi)
+        for idx, c in enumerate(ranking):
+            matrix[i, c] = 200.0 * (m - 1 - idx) / (m - 1)
+        if spec.noise:
+            matrix[i] = np.clip(matrix[i] + rng.uniform(-10.0, 10.0, size=m), 0.0, 200.0)
+    return matrix
+
+
+@st.composite
+def mallows_specs(draw):
+    m = draw(st.integers(3, 40))
+    return SampleSpec(
+        draw(st.sampled_from(["mallows", "normalized-mallows"])),
+        draw(st.integers(1, 6)),
+        m,
+        2,
+        seed=draw(st.integers(0, 2**32)),
+        phi=draw(st.one_of(st.sampled_from([1e-300, 1e-9]), st.floats(0.0, 1.0, exclude_min=True))),
+        noise=draw(st.booleans()),
+    )
+
+
+@given(mallows_specs())
+@settings(max_examples=200, deadline=None)
+def test_mallows_matches_reference_bit_for_bit(spec):
+    """The sampler, which builds the insertion odds once per election and
+    places a voter's items from one vector of draws, draws the reference's
+    matrix byte for byte."""
+    assert sample(spec).utilities.tobytes() == reference_mallows(spec).tobytes()
 
 
 class TestPolarized:
