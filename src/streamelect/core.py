@@ -128,8 +128,8 @@ class Decision:
 
     `payments` is a tuple of (voter, amount) pairs for rules that charge
     budgets, or None. `sample` is the sorted running sample after the step
-    for rules that maintain one (ids at or beyond m are dummy sentinels), or
-    None.
+    for rules that maintain one, or None; ids at or beyond m in it are the
+    displacement rules' placeholders for reference seats left open.
     """
 
     position: int

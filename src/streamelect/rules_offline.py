@@ -187,8 +187,8 @@ class _EngineCache:
 
 def _equal_shares_engine(election, cols, overspend, cache=None):
     """Round loop shared by mes, bos and both subset rules, on the columns
-    `cols` (ascending ids) of an election; ids from num_candidates upward
-    stand for zero-utility dummies.
+    `cols` (distinct ascending ids in 0..m-1) of an election; any other id
+    raises ValueError.
 
     Candidates are electable while affordable (their supporters can jointly
     cover the unit price); with `overspend`, a candidate whose supporters
@@ -197,9 +197,7 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
     Affordable candidates always take precedence over overspending ones, and
     ties break toward the smaller id, so the run coincides with plain equal
     shares whenever every selected candidate is affordable. Completion fills
-    up to k members by descending column sum, ties toward the smaller id, so
-    dummies (zero sum, largest ids) only enter there, after every real
-    candidate.
+    up to k members by descending column sum, ties toward the smaller id.
 
     `cache`, an `_EngineCache`, lets consecutive calls on one election and
     engine reuse each other's work; without one, the call gets a fresh cache
@@ -222,6 +220,9 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
     """
     n, m, k = election.num_voters, election.num_candidates, election.committee_size
     utilities = election.utilities
+    bad = [c for c in cols if not 0 <= c < m] + [a for a, b in zip(cols, cols[1:]) if a == b]
+    if bad:
+        raise ValueError(f"candidates must be distinct ids in 0..{m - 1}; offending ids {bad}")
     if cache is None:
         cache = _EngineCache()
     cache.bind(election, overspend)
@@ -230,10 +231,9 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
     # order, so that ties keep the smaller id.
     pool = []
     for c in cols:
-        if c < m:
-            supporters, u = cache.column(c)
-            if supporters.size:
-                pool.append((c, supporters, u))
+        supporters, u = cache.column(c)
+        if supporters.size:
+            pool.append((c, supporters, u))
     rounds = []
     with np.errstate(divide="ignore", invalid="ignore"):
         while len(rounds) < k:
@@ -263,7 +263,7 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
     completion = ()
     if len(rounds) < k:
         remaining = [c for c in cols if c not in elected]
-        remaining.sort(key=lambda c: (-utilities[:, c].sum() if c < m else 0.0, c))
+        remaining.sort(key=lambda c: (-utilities[:, c].sum(), c))
         completion = tuple(remaining[: k - len(rounds)])
     return frozenset(elected | set(completion)), MesTrace(tuple(rounds), completion)
 
@@ -271,16 +271,14 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
 def equal_shares_subset(election, candidates, cache=None):
     """Run the equal-shares engine on a candidate subset of an election.
 
-    `candidates` are original indices plus optional dummy sentinels: any id
-    at or beyond num_candidates stands for a zero-utility dummy. Columns are
-    taken in ascending id order, so index tie-breaking matches the full
-    election and dummies (largest ids, zero total utility) can only enter via
-    completion, after every real candidate. `cache`, an `_EngineCache` the
-    caller keeps between calls on this election with this rule, lets each
-    call reuse the supporter pools built and the rounds solved by earlier
-    ones (see `_equal_shares_engine`); a cache used with another election or
-    with `bounded_overspending_subset` raises ValueError. Returns (members,
-    trace) in the caller's id space.
+    `candidates` are distinct ids of the election's candidates; a repeated
+    id or one outside 0..m-1 raises ValueError. Columns are taken in
+    ascending id order, so index tie-breaking matches the full election.
+    `cache`, an `_EngineCache` the caller keeps between calls on this
+    election with this rule, lets each call reuse the supporter pools built
+    and the rounds solved by earlier ones (see `_equal_shares_engine`); a
+    cache used with another election or with `bounded_overspending_subset`
+    raises ValueError. Returns (members, trace).
     """
     return _equal_shares_engine(election, sorted(candidates), False, cache)
 

@@ -97,15 +97,15 @@ def _displacement_rule(election, order, exploration, subset_rule):
     """Exploration-then-displacement scheme shared by the equal-shares and
     bounded-overspending online rules.
 
-    The first t arrivals are observed only; the subset rule on them (padded
-    with zero-utility dummies when t < k) yields the reference committee.
-    Afterwards a running sample of k candidates is maintained: for each
-    arrival c, the subset rule on sample + c excludes exactly one candidate.
-    If c itself is excluded it is rejected and nothing changes. Otherwise c
-    takes the excluded candidate's slot in the sample, and is hired exactly
-    when the displaced candidate still belonged to the reference committee.
-    The sample always has exactly |reference| members, and hired candidates
-    never re-enter it.
+    The first t arrivals are observed only; the subset rule on them yields
+    the reference committee, plus placeholder ids m, m+1, ... for the k - t
+    seats left open when t < k. Afterwards a running sample of k candidates
+    is maintained: for each arrival c, the subset rule on sample + c (the
+    placeholders left out) excludes one of them. If c itself is excluded it
+    is rejected and nothing changes. Otherwise c takes the excluded
+    candidate's slot in the sample, and is hired exactly when the displaced
+    candidate still belonged to the reference committee. Hired candidates
+    never re-enter the sample.
 
     All subset calls of one run, the reference call included, share one
     `rules_offline._EngineCache`: its pool builds each column's supporter
@@ -121,7 +121,7 @@ def _displacement_rule(election, order, exploration, subset_rule):
     k = election.committee_size
     t = _exploration_length(m, exploration)
     arrivals = order.permutation
-    dummies = tuple(range(m, m + max(0, k - t)))
+    placeholders = frozenset(range(m, m + k - t))
     reference = running = None
     cache = _EngineCache()
 
@@ -133,10 +133,12 @@ def _displacement_rule(election, order, exploration, subset_rule):
         if position <= t:
             return Decision(position, c, False, "exploration")
         if running is None:
-            reference, _ = subset_rule(election, arrivals[:t] + dummies, cache)
+            reference = subset_rule(election, arrivals[:t], cache)[0] | placeholders
             running = set(reference)
-        winners, _ = subset_rule(election, tuple(running) + (c,), cache)
-        (excluded,) = (running | {c}) - winners
+        winners, _ = subset_rule(election, tuple(running - placeholders) + (c,), cache)
+        # While a placeholder is in the sample, at most k real candidates
+        # remain and all of them win, so the largest placeholder is excluded.
+        excluded = max((running | {c}) - winners)
         if excluded == c:
             return Decision(position, c, False, "self-excluded", sample=snapshot())
         hired = excluded in reference

@@ -299,6 +299,28 @@ class TestExperiment:
         assert "winner 1: frequency" in out
         assert "thm-mes: passed" in out
 
+    def test_thm_mes_vacuous_relaxation(self, tmp_path, capsys):
+        config = tmp_path / "mes.cfg"
+        config.write_text("experiment=thm-mes\np=3\n")
+        assert main(["experiment", str(config)]) == 0
+        assert capsys.readouterr().out == "thm-mes: vacuous at relaxation p=3 (passed)\n"
+
+    def test_skipped_divisor_is_reported(self, tmp_path, capsys):
+        # Two projects are too few for divisor 4, so exp1 skips the file.
+        ballots = tmp_path / "tiny.pb"
+        ballots.write_text(
+            "META\nkey;value\nvote_type;approval\nPROJECTS\nproject_id;cost\np1;100\np2;100\n"
+            "VOTES\nvoter_id;vote\nv1;p1\nv2;p2\n"
+        )
+        config = tmp_path / "exp1.cfg"
+        config.write_text(f"experiment=exp1\nsource={ballots}\ndivisors=4\niterations=1\n")
+        assert main(["experiment", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "exp1: 0 records",
+            "  skipped: tiny.pb divisor 4: need at least 3 candidates, got 2",
+        ]
+
     def test_thm_nash_report(self, tmp_path, capsys):
         config = tmp_path / "nash.cfg"
         config.write_text("experiment=thm-nash\ninstances=1\norders=20\n")

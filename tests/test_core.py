@@ -128,6 +128,10 @@ class TestRandomOrder:
         # Pinned stream: any change to the generator contract must show here.
         assert random_order(8, 2026).permutation == (7, 4, 0, 5, 1, 6, 2, 3)
 
+    def test_rejects_an_empty_order(self):
+        with pytest.raises(ValueError, match="^cannot draw an order over 0 candidates$"):
+            random_order(0, 5)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             random_order(5, -1)

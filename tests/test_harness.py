@@ -216,6 +216,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=match):
             parse_config(text)
 
+    def test_constructor_rejects_an_unknown_experiment(self):
+        with pytest.raises(ValueError, match="^unknown experiment: 'exp9'$"):
+            ExperimentConfig("exp9")
+
 
 class TestRunRecordCsv:
     def record(self, **overrides):

@@ -232,6 +232,7 @@ class TestNativeFormat:
             ("2 3 2\n1;0;zap\n0;1;1\n", "line 2: malformed number"),
             ("2 3 2\n1;0;0\n0;-1;1\n", "line 3: negative utility"),
             ("2 3 3\n1;0;0\n0;1;1\n", "line 1"),
+            ("2 3 2 1.5\n1;2;0\n0;1;1\n", "^line 1: utilities exceed the score cap 1.5$"),
             ("2 -3 2\n1;2;3\n4;5;6\n", "line 1: counts must be positive"),
             ("-1 3 2\n", "line 1: counts must be positive"),
             ("2 3 2\n1;nan;3\n4;5;6\n", "line 2: non-finite utility"),

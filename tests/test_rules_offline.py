@@ -416,30 +416,32 @@ class TestNash:
 
 
 class TestSubsetRestriction:
-    def test_dummy_ids_become_zero_columns(self, showcase):
-        # Dummies (ids >= m) lose every comparison and land in completion.
-        members, trace = equal_shares_subset(showcase, (3, 5, 6, 7))
-        assert 3 in members
-        assert len(members) == 3
-        dummies = {6, 7} & members
-        assert dummies == set(trace.completion_added) & {6, 7}
-
     def test_subset_of_winners_only(self, showcase):
         members, _ = equal_shares_subset(showcase, (0, 1, 2, 3))
         assert members <= {0, 1, 2, 3}
         assert len(members) == 3
 
+    @pytest.mark.parametrize("rule", [equal_shares_subset, bounded_overspending_subset])
+    @pytest.mark.parametrize(
+        "candidates, offending",
+        [((0, 0, 1), [0]), ((-1, 0, 1, 2), [-1]), ((3, 5, 6, 7), [6, 7]), ((2, 9, 2), [9, 2])],
+    )
+    def test_refuses_repeated_or_foreign_ids(self, showcase, rule, candidates, offending):
+        # Unchecked, (0, 0, 1) would buy candidate 0 twice and leave a seat
+        # empty, and -1 would read candidate 5's column.
+        with pytest.raises(ValueError, match=rf"distinct ids in 0\.\.5; offending ids \{offending}"):
+            rule(showcase, candidates)
+
 
 @st.composite
 def subset_replays(draw):
-    """An approval or cardinal election and a sequence of candidate subsets
-    over its ids plus k dummy ids. Each subset after the first either swaps
-    one id of the previous one, as a displacement step does, or is drawn
-    afresh."""
+    """An approval or cardinal election and a sequence of subsets of its
+    candidates. Each subset after the first either swaps one id of the
+    previous one, as a displacement step does, or is drawn afresh."""
     rng = seeded_rng(draw(st.integers(0, 10_000)))
     sampler = draw(st.sampled_from([random_approval_election, random_cardinal_election]))
     e = sampler(rng)
-    ids = st.integers(0, e.num_candidates + e.committee_size - 1)
+    ids = st.integers(0, e.num_candidates - 1)
     subset = draw(st.sets(ids, min_size=1))
     calls = [subset]
     for _ in range(draw(st.integers(1, 12))):
@@ -469,7 +471,7 @@ class TestSharedPath:
             ]
             assert len(cache.levels) <= e.committee_size
             # A column's pool entry is built once and kept for the cache's life.
-            for c in subset & set(range(e.num_candidates)):
+            for c in subset:
                 assert cache.pool[c] is entries.setdefault(c, cache.pool[c])
         assert set(cache.pool) == set(entries)
         for c, (supporters, u) in cache.pool.items():

@@ -148,14 +148,17 @@ class TestDisplacement:
         assert committee.sorted_members() == (3, 4, 5)
         assert {d.reason for d in committee.audit[3:]} == {"safeguard"}
 
-    def test_dummy_reference_when_exploration_below_k(self):
-        # m=10 gives t=3 < k=4: the reference is padded with dummy ids.
+    def test_placeholder_reference_when_exploration_below_k(self):
+        # m=10 gives t=3 < k=4: the reference holds placeholder id 10 for the
+        # open seat, and arrival 4 takes it.
         rng = seeded_rng(22)
         matrix = (rng.random((6, 10)) < 0.5).astype(float)
         matrix[:, 0] = 1.0
         e = Election(matrix, 4)
         committee = online_mes(e, ArrivalOrder.identity(10))
         assert len(committee.members) == 4
+        assert committee.audit[3].reason == "displaced-reference"
+        assert committee.audit[3].sample == (0, 1, 2, 3)
 
     def test_rejected_arrival_still_updates_sample(self, showcase):
         committee = online_mes(showcase, IDENTITY6)
@@ -168,9 +171,14 @@ class TestDisplacement:
 
 def fresh_displacement(election, order, subset_rule, t):
     """The displacement scheme with every subset call made on its own, so no
-    state passes between calls: the oracle for the rules' shared winner path."""
+    state passes between calls: the oracle for the rules' shared winner path.
+    The k - t reference seats that exploration leaves open are real zero
+    columns m, m+1, ... of a padded election."""
     m, k = election.num_candidates, election.committee_size
     arrivals = order.permutation
+    open_seats = max(0, k - t)
+    zeros = np.zeros((election.num_voters, open_seats))
+    padded = Election(np.hstack([election.utilities, zeros]), k)
     members, audit = [], []
     reference = running = None
     for position, c in enumerate(arrivals, start=1):
@@ -184,10 +192,9 @@ def fresh_displacement(election, order, subset_rule, t):
             audit.append(Decision(position, c, False, "exploration"))
         else:
             if running is None:
-                dummies = tuple(range(m, m + max(0, k - t)))
-                reference, _ = subset_rule(election, arrivals[:t] + dummies)
+                reference, _ = subset_rule(padded, arrivals[:t] + tuple(range(m, m + open_seats)))
                 running = set(reference)
-            winners, _ = subset_rule(election, tuple(running) + (c,))
+            winners, _ = subset_rule(padded, tuple(running) + (c,))
             (excluded,) = (running | {c}) - winners
             if excluded == c:
                 snap = tuple(sorted(running))
@@ -222,7 +229,7 @@ class TestSharedPathAudits:
             e = sampler(rng, max_voters=12, max_candidates=14, max_k=5)
             order = random_order(e.num_candidates, int(rng.integers(0, 10_000)))
             # Every third run explores fewer than k arrivals, so the
-            # reference call carries dummy ids.
+            # reference leaves seats open.
             t = int(rng.integers(0, e.committee_size)) if index % 3 == 0 else None
             caches.clear()
             committee = rule(e, order, t)
@@ -334,7 +341,7 @@ def instances(draw):
 @st.composite
 def explored_instances(draw):
     """(election, order, t) with k <= 3 and an exploration length t in
-    [k, m - k), so the reference needs no dummies and at least one arrival
+    [k, m - k), so the reference has no open seat and at least one arrival
     after it is compared with the running sample."""
     k = draw(st.integers(2, 3))
     n, m = draw(st.integers(1, 8)), draw(st.integers(2 * k + 1, 10))
@@ -393,6 +400,29 @@ class TestAuditContracts:
         assume(not any(completions))
         bos_run = online_bos(election, order, t)
         assert (bos_run.members, bos_run.audit) == (mes_run.members, mes_run.audit)
+
+    @given(instances(), st.sampled_from([online_mes, online_bos]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_open_reference_seats_hire_the_next_arrivals(self, instance, rule, data):
+        """With t < k, the reference holds the t explored arrivals and
+        placeholders m, m+1, ... for its k - t open seats. Positions t+1..k
+        are all hired, and each step while a placeholder is held displaces
+        the largest one still held."""
+        election, order = instance
+        m, k = election.num_candidates, election.committee_size
+        t = data.draw(st.integers(0, k - 1))
+        audit = rule(election, order, t).audit
+        assert all(d.hired for d in audit[t:k])
+        placeholders = set(range(m, m + k - t))
+        running = set(order.permutation[:t]) | placeholders
+        for d in audit[t:]:
+            if d.sample is None or d.reason in ("safeguard", "committee-full"):
+                continue
+            held = running & placeholders
+            if held:
+                assert d.reason == "displaced-reference"
+                assert set(d.sample) == (running - {max(held)}) | {d.candidate}
+            running = set(d.sample)
 
 
 # e rounded down, so that 1/E_BELOW exceeds 1/e.
