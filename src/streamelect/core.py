@@ -14,9 +14,10 @@ import numpy as np
 
 # Name and version of the deterministic generator behind every seeded draw in
 # this library. Philox is counter-based, so (seed -> stream) is reproducible
-# across platforms; the permutation itself is a textbook Fisher-Yates driven
-# by that stream. Changing either detail is a breaking change to recorded
-# seeds and must bump this tag.
+# across platforms; the permutation itself is a textbook Fisher-Yates whose
+# m-1 swap indices come from one vector draw on that stream, which yields the
+# same indices as one scalar draw per swap. Changing either detail is a
+# breaking change to recorded seeds and must bump this tag.
 ORDER_GENERATOR = "philox4x64/fisher-yates/v1"
 
 
@@ -109,7 +110,7 @@ class ArrivalOrder:
     permutation: tuple
 
     def __post_init__(self):
-        perm = tuple(int(c) for c in self.permutation)
+        perm = tuple(map(int, self.permutation))
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("arrival order must be a permutation of 0..m-1")
         object.__setattr__(self, "permutation", perm)
@@ -189,16 +190,21 @@ def satisfaction(election, committee):
     return election.utilities[:, sorted(members)].sum(axis=1)
 
 
+def check_order(election, order):
+    """Refuse an arrival order whose length is not the election's m."""
+    if len(order) != election.num_candidates:
+        raise ValueError(
+            f"order has length {len(order)}, election has {election.num_candidates} candidates"
+        )
+
+
 def stream(election, order):
     """Yield (position, candidate, utility column) in arrival order.
 
     Positions are 1-based. A consumer at position t has seen exactly the
     columns of the first t arrivals; columns are read-only views.
     """
-    if len(order) != election.num_candidates:
-        raise ValueError(
-            f"order has length {len(order)}, election has {election.num_candidates} candidates"
-        )
+    check_order(election, order)
     for position, candidate in enumerate(order.permutation, start=1):
         yield position, candidate, election.utilities[:, candidate]
 
@@ -207,13 +213,15 @@ def random_order(m, seed):
     """Uniformly random arrival order, deterministic in (m, seed).
 
     Fisher-Yates shuffle driven by the generator named in ORDER_GENERATOR, so
-    the same inputs produce the same permutation on every platform.
+    the same inputs produce the same permutation on every platform. The swap
+    index j of position i = m-1, ..., 1 is uniform on 0..i; all m-1 of them
+    come from one vector draw on the seed's stream, which gives the same
+    indices as one scalar draw per position.
     """
     if m < 1:
         raise ValueError(f"cannot draw an order over {m} candidates")
-    rng = seeded_rng(seed)
+    swaps = seeded_rng(seed).integers(0, np.arange(m, 1, -1)).tolist()
     perm = list(range(m))
-    for i in range(m - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    for i, j in zip(range(m - 1, 0, -1), swaps):
         perm[i], perm[j] = perm[j], perm[i]
     return ArrivalOrder(tuple(perm))

@@ -616,9 +616,10 @@ def verify_thm_nash(cfg):
         )
         election = sample(spec)
         _, optimum = nash_optimum_bruteforce(election)
+        instance_id = spec.instance_id()
         ratios = []
         for iteration in range(1, cfg.orders + 1):
-            seed = derive_seed(cfg.base_seed, spec.instance_id(), 3, iteration)
+            seed = derive_seed(cfg.base_seed, instance_id, 3, iteration)
             order = random_order(election.num_candidates, seed)
             committee = run_rule("online-nash", election, order)
             ratios.append(math.exp(nash_welfare(election, committee) - optimum))

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import Committee, Decision, stream
+from .core import Committee, Decision, check_order, stream
 from .rules_offline import (
     _charge,
     _EngineCache,
@@ -172,27 +172,38 @@ def online_nash(election, order):
     of max Nash welfare of already-picked plus candidate; the first later
     candidate reaching the threshold is hired, or failing that, the last
     candidate of the segment.
+
+    A segment's gains are scored together, in one (size, n) buffer whose
+    rows each sum the same n values in the same order as a per-arrival
+    `np.log1p(picked_sat + column).sum()`. The scoring depends only on the
+    earlier segments' picks, and each decision reads only the gains up to
+    its own position: the threshold from the observed arrivals, then its own
+    gain.
     """
     n = election.num_voters
     m = election.num_candidates
     k = election.committee_size
+    check_order(election, order)
     base, extra = divmod(m, k)
     sizes = [base + 1] * extra + [base] * (k - extra)
+    columns = election.utilities.T
     members = []
     audit = []
     picked_sat = np.zeros(n)
-    arrivals = stream(election, order)
+    start = 0
     for size in sizes:
+        ids = order.permutation[start : start + size]
+        block = columns[list(ids)]
+        np.add(block, picked_sat, out=block)
+        gains = np.log1p(block, out=block).sum(axis=1).tolist()
         observe = int(size / math.e)
-        threshold = -math.inf
+        threshold = max(gains[:observe], default=-math.inf)
         picked = None
-        for j, (position, c, column) in zip(range(size), arrivals):
+        for j, (c, gain) in enumerate(zip(ids, gains)):
+            position = start + j + 1
             if picked is not None:
                 audit.append(Decision(position, c, False, "segment-filled"))
-                continue
-            gain = float(np.log1p(picked_sat + column).sum())
-            if j < observe:
-                threshold = max(threshold, gain)
+            elif j < observe:
                 audit.append(Decision(position, c, False, "observation"))
             elif gain >= threshold:
                 picked = c
@@ -204,6 +215,7 @@ def online_nash(election, order):
                 audit.append(Decision(position, c, False, "below-threshold"))
         members.append(picked)
         picked_sat += election.utilities[:, picked]
+        start += size
     return Committee(frozenset(members), tuple(audit))
 
 

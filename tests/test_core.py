@@ -136,12 +136,32 @@ class TestRandomOrder:
         with pytest.raises(ValueError):
             random_order(5, -1)
         with pytest.raises(ValueError):
+            random_order(1, -1)
+        with pytest.raises(ValueError):
             seeded_rng(-3)
 
     @given(m=st.integers(2, 40), seed=st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
     def test_always_a_permutation(self, m, seed):
         assert sorted(random_order(m, seed).permutation) == list(range(m))
+
+    @given(m=st.one_of(st.integers(1, 60), st.just(400)), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_scalar_draw_per_swap(self, m, seed):
+        """The vector draw of all m-1 swap indices gives the same order as
+        the textbook loop with one scalar draw per swap on the same stream."""
+        assert random_order(m, seed).permutation == reference_random_order(m, seed)
+
+
+def reference_random_order(m, seed):
+    """Fisher-Yates with one scalar `integers` call per swap: the reference
+    for `random_order`'s vector draw."""
+    rng = seeded_rng(seed)
+    perm = list(range(m))
+    for i in range(m - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return tuple(perm)
 
 
 class TestSatisfaction:

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from streamelect import (
     ArrivalOrder,
+    Committee,
     Decision,
     Election,
     SampleSpec,
+    bos,
     check_jr,
     greedy_budgeting,
     online_bos,
@@ -28,6 +30,7 @@ from streamelect import (
     run_rule,
     sample,
     seeded_rng,
+    stream,
 )
 from streamelect import rules_online
 from streamelect.rules_online import ONLINE_RULE_IDS, _exploration_length
@@ -286,6 +289,69 @@ class TestOnlineNash:
         assert len(committee.members) == 2
 
 
+def reference_online_nash(election, order):
+    """Online-nash scored one arrival at a time, each gain summed over its
+    own `picked_sat + column`: the reference for the rule's per-segment
+    buffer."""
+    k = election.committee_size
+    base, extra = divmod(election.num_candidates, k)
+    sizes = [base + 1] * extra + [base] * (k - extra)
+    members = []
+    audit = []
+    picked_sat = np.zeros(election.num_voters)
+    arrivals = stream(election, order)
+    for size in sizes:
+        observe = int(size / math.e)
+        threshold = -math.inf
+        picked = None
+        for j, (position, c, column) in zip(range(size), arrivals):
+            if picked is not None:
+                audit.append(Decision(position, c, False, "segment-filled"))
+                continue
+            gain = float(np.log1p(picked_sat + column).sum())
+            if j < observe:
+                threshold = max(threshold, gain)
+                audit.append(Decision(position, c, False, "observation"))
+            elif gain >= threshold:
+                picked = c
+                audit.append(Decision(position, c, True, "above-threshold"))
+            elif j == size - 1:
+                picked = c
+                audit.append(Decision(position, c, True, "segment-fallback"))
+            else:
+                audit.append(Decision(position, c, False, "below-threshold"))
+        members.append(picked)
+        picked_sat += election.utilities[:, picked]
+    return Committee(frozenset(members), tuple(audit))
+
+
+@st.composite
+def tied_nash_instances(draw):
+    """(election, order) whose columns are permutations of one voter vector
+    of one-decimal utilities with zeros, so every first-segment gain ties
+    exactly and only the order of summation can split them. n spans numpy's
+    pairwise-sum block of 128."""
+    n = draw(st.sampled_from([*range(1, 10), 127, 128, 129, 1000]))
+    m = draw(st.integers(3, 14))
+    k = draw(st.integers(2, m - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.round(rng.random(n) * draw(st.sampled_from([1.0, 3.0, 10.0])), 1)
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    matrix = np.stack([rng.permutation(values) for _ in range(m)], axis=1)
+    return Election(matrix, k), ArrivalOrder(draw(st.permutations(range(m))))
+
+
+@given(tied_nash_instances())
+@settings(max_examples=300, deadline=None)
+def test_online_nash_matches_per_arrival_scoring(instance):
+    """Scoring a whole segment at once gives bit-identical gains, hence the
+    same members and the same audit, as scoring each arrival on its own."""
+    election, order = instance
+    committee = online_nash(election, order)
+    reference = reference_online_nash(election, order)
+    assert (committee.members, committee.audit) == (reference.members, reference.audit)
+
+
 class TestFeasibilityEverywhere:
     @pytest.mark.parametrize("rule", ONLINE_RULE_IDS)
     @pytest.mark.parametrize(
@@ -379,6 +445,21 @@ class TestAuditContracts:
             assert check_jr(election, committee).satisfied
         rerun = run_rule(rule, election, order)
         assert (rerun.members, rerun.audit) == (committee.members, audit)
+
+    @given(instances(), st.sampled_from(ONLINE_RULE_IDS), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_no_lookahead(self, instance, rule, data):
+        """Each decision is made on arrival: redrawing the columns of
+        arrivals t+1..m leaves the first t audit entries unchanged."""
+        election, order = instance
+        n, m = election.num_voters, election.num_candidates
+        t = data.draw(st.integers(1, m - 1))
+        later = list(order.permutation[t:])
+        matrix = election.utilities.copy()
+        matrix[:, later] = np.array(ballots(data.draw, n, m))[:, later]
+        redrawn = Election(matrix, election.committee_size)
+        before = run_rule(rule, election, order).audit
+        assert run_rule(rule, redrawn, order).audit[:t] == before[:t]
 
     # Most runs need completion in some equal-shares call, usually for the
     # last seat, and are filtered out.
@@ -478,6 +559,38 @@ class TestExactHireBounds:
         hires = sum(count for members, count in counts.items() if 4 in members)
         assert Fraction(hires, sum(counts.values())) == Fraction(256, 720)
         assert Fraction(256, 720) < 1 / math.e
+
+    def test_overspending_winner_can_fall_below_on_approval_ballots(self):
+        """On these approval ballots `bos` elects {0, 3} and buys 3 by
+        overspending in round 2, at rho 1/3. Over all 720 orders online-bos
+        hires 3 in 236 (59/180 < 1/e) and 0 in 352; online-mes hires each of
+        `mes`'s winners {0, 1} in 344."""
+        election = Election(
+            [
+                [1, 0, 1, 0, 0, 1],
+                [1, 1, 1, 1, 1, 0],
+                [0, 1, 1, 0, 1, 0],
+                [1, 1, 1, 1, 0, 1],
+                [1, 0, 0, 1, 1, 1],
+                [0, 1, 0, 0, 1, 0],
+            ],
+            2,
+        )
+        committee, trace = bos(election)
+        assert committee.members == {0, 3}
+        assert [r.candidate for r in trace.rounds] == [0, 3]
+        assert trace.rounds[1].rho == pytest.approx(1 / 3, rel=1e-12)
+        assert mes(election)[0].members == {0, 1}
+
+        def hires(rule):
+            counts = committee_counts(election, rule)
+            assert sum(counts.values()) == 720
+            return {c: sum(n for members, n in counts.items() if c in members) for c in range(6)}
+
+        bos_hires, mes_hires = hires(online_bos), hires(online_mes)
+        assert (bos_hires[3], bos_hires[0]) == (236, 352)
+        assert (mes_hires[0], mes_hires[1]) == (344, 344)
+        assert Fraction(236, 720) < 1 / math.e < Fraction(344, 720)
 
 
 def test_nash_ratio_per_instance_at_raw_and_unit_scale():
