@@ -138,10 +138,8 @@ def check_ejr_plus_approval(election, committee):
     n, k = election.num_voters, election.committee_size
     approved_winners = satisfaction(election, committee)
     approvals = election.utilities == 1.0
-    # counts[c, ell - 1]: approvers of c who approve fewer than ell winners,
-    # from each voter's one-hot approved-winner count, summed over levels.
-    one_hot = np.eye(k + 1, dtype=np.int64)[approved_winners.astype(np.int64)]
-    counts = np.cumsum(approvals.T.astype(np.int64) @ one_hot, axis=1)[:, :k]
+    # counts[c, ell - 1]: approvers of c who approve fewer than ell winners.
+    counts = approvals.T.astype(np.int64) @ (approved_winners[:, None] < np.arange(1, k + 1))
     pairs = counts * k >= np.arange(1, k + 1) * n
     pairs[sorted(members_of(committee))] = False
     witnesses = []
@@ -309,9 +307,8 @@ def make_counterexample(construction, k=2, epsilon=0.1, beta=None):
     `construction` is one of CONSTRUCTION_IDS, `k` the committee size (at
     least 2) and `epsilon` the perturbation in (0, 1); the fixed strong-jr
     instance reads neither. `beta` (at least 1, default 2.0) shapes only the
-    beta-ejr instance: b-block utility beta/k and score cap beta. The
-    relaxation levels of the other axioms belong to `check_ejr_bruteforce`,
-    not to the instances.
+    beta-ejr instance: b-block utility beta/k. The relaxation levels of the
+    other axioms belong to `check_ejr_bruteforce`, not to the instances.
 
     Candidates come in an a-block followed by a b-block. The returned
     arrival order is the documented staging for the construction (see
@@ -344,20 +341,20 @@ def make_counterexample(construction, k=2, epsilon=0.1, beta=None):
         for i in range(k):
             rows[i, i] = 1.0 - epsilon
             rows[i, k:] = beta / k
-        election = Election(rows, k, score_cap=beta)
+        election = Election(rows, k)
     elif construction == "ejr-gamma":
         rows = np.zeros((k, k * k + k))
         for i in range(k):
             for j in range(k):
                 rows[i, i * k + j] = (2.0**j) * epsilon
             rows[i, k * k :] = (2.0 ** (k + 1)) * epsilon
-        election = Election(rows, k, score_cap=(2.0 ** (k + 1)) * epsilon)
+        election = Election(rows, k)
     elif construction == "delta-ejr":
         row = np.zeros((1, 2 * k))
         for j in range(k):
             row[0, j] = 1.0 + (j + 1) * epsilon
         row[0, k:] = 1.0 + epsilon * ((k + 1) / 2 + 1 / k)
-        election = Election(row, k, score_cap=1.0 + k * epsilon)
+        election = Election(row, k)
     else:
         election = Election([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]], 2)
     staged = DOCUMENTED_ORDERS.get((construction, election.committee_size))

@@ -67,13 +67,10 @@ class Election:
         candidates `num_candidates` (m).
     committee_size : int
         Committee bound k with 2 <= k < m.
-    score_cap : float, optional
-        Upper bound B on all utilities (range ballots), if any.
     """
 
     utilities: np.ndarray
     committee_size: int
-    score_cap: float | None = None
     num_voters: int = field(init=False)
     num_candidates: int = field(init=False)
 
@@ -87,11 +84,6 @@ class Election:
             raise ValueError("utilities must be finite")
         if np.any(matrix < 0):
             raise ValueError("utilities must be non-negative")
-        if self.score_cap is not None:
-            if not self.score_cap > 0:
-                raise ValueError(f"score cap must be positive, got {self.score_cap}")
-            if np.any(matrix > self.score_cap):
-                raise ValueError(f"utilities exceed the score cap {self.score_cap}")
         matrix.setflags(write=False)
         object.__setattr__(self, "utilities", matrix)
         object.__setattr__(self, "num_voters", n)

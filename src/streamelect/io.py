@@ -9,7 +9,7 @@ approval ballots are accepted.
 
 The native format is line-oriented and value-exact under round-trips:
 
-    n m k [B]
+    n m k
     order: i1 i2 ... im     (optional, 1-based candidate ids)
     u;u;...;u               (n rows of m utilities)
 
@@ -192,10 +192,7 @@ def write_ids(ids):
 def write_native(election, order=None):
     """Serialize an election (and optionally an arrival order) to the native
     text format; utilities use shortest round-trip decimal notation."""
-    head = f"{election.num_voters} {election.num_candidates} {election.committee_size}"
-    if election.score_cap is not None:
-        head += f" {election.score_cap!r}"
-    lines = [head]
+    lines = [f"{election.num_voters} {election.num_candidates} {election.committee_size}"]
     if order is not None:
         lines.append("order: " + write_ids(order.permutation))
     for row in election.utilities:
@@ -216,11 +213,10 @@ def read_native(text):
         raise ParseError("line 1: empty instance")
     lineno, head = entries[0]
     parts = head.split()
-    if len(parts) not in (3, 4):
-        raise ParseError(f"line {lineno}: header must be 'n m k [B]', got {head!r}")
+    if len(parts) != 3:
+        raise ParseError(f"line {lineno}: header must be 'n m k', got {head!r}")
     try:
-        n, m, k = (int(p) for p in parts[:3])
-        cap = float(parts[3]) if len(parts) == 4 else None
+        n, m, k = (int(p) for p in parts)
     except ValueError:
         raise ParseError(f"line {lineno}: malformed header {head!r}") from None
     try:
@@ -258,11 +254,7 @@ def read_native(text):
         if invalid.any():
             bad = int(np.nonzero(invalid.any(axis=1))[0][0])
             raise ParseError(f"line {body[bad][0]}: {problem}")
-    try:
-        election = Election(matrix, k, score_cap=cap)
-    except ValueError as exc:
-        raise ParseError(f"line {entries[0][0]}: {exc}") from None
-    return election, order
+    return Election(matrix, k), order
 
 
 def bundled_ballot_files():

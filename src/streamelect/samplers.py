@@ -87,7 +87,7 @@ def _sample_ic(rng, spec):
         chosen = rng.choice(m, size=count, replace=False)
         scores = np.clip(np.rint(rng.normal(150.0, 140.0, size=count)), 1.0, 200.0)
         matrix[i, chosen] = scores
-    return matrix, 200.0
+    return matrix
 
 
 def expected_swap_distance(phi, m):
@@ -151,7 +151,7 @@ def _sample_mallows(rng, spec):
         matrix[i, ranking] = scores
         if spec.noise:
             matrix[i] = np.clip(matrix[i] + rng.uniform(-10.0, 10.0, size=m), 0.0, 200.0)
-    return matrix, 200.0
+    return matrix
 
 
 def _sample_polarized(rng, spec):
@@ -166,7 +166,7 @@ def _sample_polarized(rng, spec):
     if group_a < n:
         approvals = rng.random((n - group_a, m - half)) < spec.q
         matrix[group_a:, half:] = approvals.astype(np.float64)
-    return matrix, 1.0
+    return matrix
 
 
 def proportional_quota(spec, committee):
@@ -188,7 +188,7 @@ def proportional_quota(spec, committee):
     return deserved, received
 
 
-# Each culture's sampler, (rng, spec) -> (utility matrix, score cap), and
+# Each culture's sampler, (rng, spec) -> utility matrix, and
 # the SampleSpec fields it reads: each parameter with its meaning and its
 # interval, which ends at 1 and holds 0 only if it opens with "[", and
 # noise, a switch, with None.
@@ -207,5 +207,4 @@ CULTURES = tuple(CULTURE_TABLE)
 def sample(spec):
     """Draw the election described by a SampleSpec."""
     sampler, _ = CULTURE_TABLE[spec.culture]
-    matrix, score_cap = sampler(seeded_rng(spec.seed), spec)
-    return Election(matrix, spec.committee_size, score_cap)
+    return Election(sampler(seeded_rng(spec.seed), spec), spec.committee_size)

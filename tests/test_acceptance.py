@@ -363,14 +363,10 @@ def test_criterion_9_io_golden_contracts(tmp_path):
 
     rng = seeded_rng(8080)
     matrix = rng.uniform(0.0, 7.0, (5, 6))
-    election = Election(matrix, 3, score_cap=7.0)
+    election = Election(matrix, 3)
     order = ArrivalOrder(tuple(int(c) for c in rng.permutation(6)))
     back, back_order = read_native(write_native(election, order))
-    roundtrip_ok = (
-        np.array_equal(back.utilities, election.utilities)
-        and back.score_cap == 7.0
-        and back_order == order
-    )
+    roundtrip_ok = np.array_equal(back.utilities, election.utilities) and back_order == order
 
     out = tmp_path / "golden.csv"
     cfg = ExperimentConfig("exp1", iterations=1, divisors=(20,), output=str(out))

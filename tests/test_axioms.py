@@ -602,7 +602,6 @@ class TestMakeCounterexample:
             expected[i, i] = 0.9
             expected[i, 3:] = 2.0 / 3.0
         assert np.allclose(election.utilities, expected)
-        assert election.score_cap == 2.0
         assert order.permutation == DOCUMENTED_ORDERS[("beta-ejr", 3)]
 
     def test_gamma_matrix(self):
@@ -612,14 +611,12 @@ class TestMakeCounterexample:
         assert np.allclose(row[3:6], (0.1, 0.2, 0.4))
         assert np.allclose(row[9:], 1.6)
         assert np.allclose(row[:3], 0.0)
-        assert election.score_cap == pytest.approx(1.6)
         assert order.permutation == DOCUMENTED_ORDERS[("ejr-gamma", 3)]
 
     def test_delta_matrix(self):
         election, order = make_counterexample("delta-ejr", k=2, epsilon=0.1)
         assert (election.num_voters, election.num_candidates) == (1, 4)
         assert np.allclose(election.utilities[0], (1.1, 1.2, 1.2, 1.2))
-        assert election.score_cap == pytest.approx(1.2)
         assert order.permutation == DOCUMENTED_ORDERS[("delta-ejr", 2)]
 
     def test_undocumented_size_falls_back_to_identity(self):

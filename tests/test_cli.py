@@ -224,7 +224,7 @@ class TestSample:
         assert code == 0
         assert "wrote polarized-n6-m8-k3-x0.5-q0.9-s1" in capsys.readouterr().out
         election, _ = read_native(out.read_text())
-        assert election.score_cap == 1.0
+        assert election.is_approval
 
     def test_missing_culture_parameter(self, capsys):
         code = main(

@@ -53,18 +53,6 @@ class TestElection:
         with pytest.raises(ValueError):
             Election(np.ones(3), 2)
 
-    def test_score_cap_enforced(self):
-        with pytest.raises(ValueError):
-            Election([[3.0, 0.0, 0.0], [0.0, 1.0, 1.0]], 2, score_cap=2.0)
-
-    def test_score_cap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Election([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 2, score_cap=0.0)
-
-    def test_score_cap_boundary_allowed(self):
-        e = Election([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0]], 2, score_cap=2.0)
-        assert e.score_cap == 2.0
-
     def test_compares_and_hashes_by_identity(self):
         a = Election([[1, 0, 1], [0, 1, 1]], 2)
         b = Election([[1, 0, 1], [0, 1, 1]], 2)

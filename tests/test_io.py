@@ -182,23 +182,19 @@ class TestDivisorCommitteeSize:
 
 
 class TestNativeFormat:
-    def test_roundtrip_with_cap_and_order(self):
-        e = Election(
-            [[0.25, 1.5, 0.0], [3.125, 0.0, 2.0]], 2, score_cap=3.5
-        )
+    def test_roundtrip_with_order(self):
+        e = Election([[0.25, 1.5, 0.0], [3.125, 0.0, 2.0]], 2)
         order = ArrivalOrder((2, 0, 1))
         text = write_native(e, order)
         back, back_order = read_native(text)
         assert np.array_equal(back.utilities, e.utilities)
         assert back.committee_size == 2
-        assert back.score_cap == 3.5
         assert back_order == order
 
     def test_roundtrip_without_extras(self, showcase):
         text = write_native(showcase)
         back, order = read_native(text)
         assert np.array_equal(back.utilities, showcase.utilities)
-        assert back.score_cap is None
         assert order is None
 
     def test_order_shares_the_command_line_id_grammar(self):
@@ -232,7 +228,7 @@ class TestNativeFormat:
             ("2 3 2\n1;0;zap\n0;1;1\n", "line 2: malformed number"),
             ("2 3 2\n1;0;0\n0;-1;1\n", "line 3: negative utility"),
             ("2 3 3\n1;0;0\n0;1;1\n", "line 1"),
-            ("2 3 2 1.5\n1;2;0\n0;1;1\n", "^line 1: utilities exceed the score cap 1.5$"),
+            ("2 3 2 1.5\n1;2;0\n0;1;1\n", "^line 1: header must be 'n m k', got '2 3 2 1.5'$"),
             ("2 -3 2\n1;2;3\n4;5;6\n", "line 1: counts must be positive"),
             ("-1 3 2\n", "line 1: counts must be positive"),
             ("2 3 2\n1;nan;3\n4;5;6\n", "line 2: non-finite utility"),

@@ -405,6 +405,21 @@ def instances(draw):
 
 
 @st.composite
+def tie_free_instances(draw):
+    """(election, order) with n <= 8 and m <= 9 whose positive utilities
+    come from U(0.05, 2) at density 0.3, 0.6 or 1, so that no two
+    candidates tie and the tie-break by id never decides. Each column holds
+    a positive utility: two all-zero columns would tie at total 0."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(3, 9))
+    k = draw(st.integers(2, m - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positive = rng.random((n, m)) < draw(st.sampled_from([0.3, 0.6, 1.0]))
+    positive[rng.integers(0, n, size=m), np.arange(m)] = True
+    matrix = np.where(positive, rng.uniform(0.05, 2.0, (n, m)), 0.0)
+    return Election(matrix, k), ArrivalOrder(draw(st.permutations(range(m))))
+
+
+@st.composite
 def explored_instances(draw):
     """(election, order, t) with k <= 3 and an exploration length t in
     [k, m - k), so the reference has no open seat and at least one arrival
@@ -506,6 +521,25 @@ class TestAuditContracts:
             running = set(d.sample)
 
 
+@given(tie_free_instances(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_neutrality(instance, data):
+    """Relabelling the candidates, with the order mapped to match,
+    relabels the committee of every rule, offline ones included."""
+    election, order = instance
+    m = election.num_candidates
+    relabel = data.draw(st.permutations(range(m)))
+    matrix = np.empty_like(election.utilities)
+    matrix[:, relabel] = election.utilities
+    relabelled = Election(matrix, election.committee_size)
+    moved = ArrivalOrder(tuple(relabel[c] for c in order.permutation))
+    rules = [lambda e, o: mes(e)[0], lambda e, o: bos(e)[0]]
+    rules += [lambda e, o, r=r: run_rule(r, e, o) for r in ONLINE_RULE_IDS]
+    for rule in rules:
+        expected = {relabel[c] for c in rule(election, order).members}
+        assert rule(relabelled, moved).members == expected
+
+
 # e rounded down, so that 1/E_BELOW exceeds 1/e.
 E_BELOW = Fraction(2718281828459045, 10**15)
 
@@ -545,6 +579,26 @@ class TestExactHireBounds:
         for p in range(k):
             joint = sum(count for members, count in counts.items() if len(members & winners) >= k - p)
             assert Fraction(joint, orders) >= (1 / E_BELOW) ** (k - p)
+
+    def test_online_mes_on_approval_ballots(self):
+        """On 100 random approval elections with m <= 6, online-mes hires
+        each of `mes`'s winners in at least 1/e of all orders. This checks
+        the bound on these ballots; it does not prove it."""
+        rng = seeded_rng(28)
+        for _ in range(100):
+            election = random_approval_election(rng, max_voters=8, max_candidates=6, max_k=4)
+            subset_rule = winners_memo(equal_shares_subset)
+
+            def rule(election, order):
+                return rules_online._displacement_rule(election, order, None, subset_rule)
+
+            identity = ArrivalOrder.identity(election.num_candidates)
+            assert rule(election, identity).members == online_mes(election, identity).members
+            counts = committee_counts(election, rule)
+            orders = sum(counts.values())
+            for c in mes(election)[0].members:
+                hires = sum(count for members, count in counts.items() if c in members)
+                assert Fraction(hires, orders) >= 1 / E_BELOW
 
     @pytest.mark.parametrize("rule", [online_mes, online_bos])
     def test_cardinal_ballots_can_fall_below(self, rule):
