@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,14 +116,16 @@ class ArrivalOrder:
         return cls(tuple(range(m)))
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One audit entry of an online rule: what happened at one arrival position.
 
     `payments` is a tuple of (voter, amount) pairs for rules that charge
     budgets, or None. `sample` is the sorted running sample after the step
     for rules that maintain one, or None; ids at or beyond m in it are the
     displacement rules' placeholders for reference seats left open.
+
+    A named tuple, since the rules build one per arrival: it equals the
+    plain tuple of its six fields, and `_replace` makes a changed copy.
     """
 
     position: int

@@ -6,6 +6,12 @@ derived by hashing (base seed, instance id, k, iteration), so reruns emit
 byte-identical CSVs. Wall-clock durations are recorded on RunRecords but
 kept out of the CSV for exactly that reason; aggregate timing is reported
 separately.
+
+Only the online rules see the arrival order. Work that does not depend on
+it is done once and shared by every order of an instance: the offline `mes`
+committee and each distinct committee's evaluation in `run_experiment`,
+each distinct committee's Nash ratio in `verify_thm_nash`, and the
+winners of each candidate set in `verify_thm_mes`.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from .metrics import (
     compute_metrics,
     relative_to_baseline,
 )
-from .rules_offline import mes, nash_optimum_bruteforce, nash_welfare
-from .rules_online import ONLINE_RULE_IDS, online_mes, run_rule
+from .rules_offline import equal_shares_subset, mes, nash_optimum_bruteforce, nash_welfare
+from .rules_online import ONLINE_RULE_IDS, _displacement_rule, run_rule, winners_memo
 from .samplers import CULTURE_TABLE, CULTURES, SampleSpec, proportional_quota, sample
 
 # The ExperimentConfig fields each experiment reads.
@@ -69,8 +75,10 @@ class RunRecord:
     are the CSV columns, with `metrics` spelled out and `duration` left out.
 
     `duration` times this record's rule call alone. `run_experiment` makes
-    every rule call, but evaluates each distinct committee of an instance
-    once: records that elect the same members share their metrics, JR, EJR+
+    every online rule call, but calls offline `mes` once per instance and
+    evaluates each distinct committee of an instance once: the `offline-mes`
+    records of an instance share that one call's committee and `duration`,
+    and records that elect the same members share their metrics, JR, EJR+
     and quota fields."""
 
     instance: str
@@ -214,21 +222,27 @@ def _run_instance(instance_id, election, seeds, spec):
     """The records of one instance, for each of `seeds` in turn, each in
     canonical rule order.
 
-    A memo maps each committee's member set to its evaluation, so every
+    Offline `mes` does not see the order, so it is called and timed once,
+    and every `offline-mes` record of the instance carries that committee
+    and that duration. Every online rule call is made and timed per seed. A
+    memo maps each committee's member set to its evaluation, so every
     distinct committee of the instance is evaluated once; it is dropped when
-    the instance ends. Every rule call is still made and timed.
+    the instance ends.
     """
+    start = time.perf_counter()
+    offline, _ = mes(election)
+    offline_duration = time.perf_counter() - start
     memo = {}
     records = []
     for seed in seeds:
         order = random_order(election.num_candidates, seed)
         for rule_id in ALL_RULE_IDS:
-            start = time.perf_counter()
             if rule_id == "offline-mes":
-                committee, _ = mes(election)
+                committee, duration = offline, offline_duration
             else:
+                start = time.perf_counter()
                 committee = run_rule(rule_id, election, order)
-            duration = time.perf_counter() - start
+                duration = time.perf_counter() - start
             evaluation = memo.get(committee.members)
             if evaluation is None:
                 evaluation = memo[committee.members] = _evaluate(election, committee, spec)
@@ -543,6 +557,9 @@ def verify_thm_mes(cfg):
     least k - p winners must be hired jointly with frequency at least
     (1/e)^(k-p) minus the same allowance. p = k is vacuous (trivially
     passed).
+
+    Each order runs online-mes through one `winners_memo` of the call, so a
+    candidate set that recurs across orders is solved once.
     """
     election = single_approval_election()
     k = election.committee_size
@@ -551,12 +568,13 @@ def verify_thm_mes(cfg):
     if cfg.p >= k:
         return MesTheoremReport({}, 0.0, 1.0, 1.0, cfg.p, 0, vacuous=True, passed=True)
     orders = cfg.orders
+    subset_rule = winners_memo(equal_shares_subset)
     hire_counts = {c: 0 for c in winners}
     joint_count = 0
     for iteration in range(1, orders + 1):
         seed = derive_seed(cfg.base_seed, "thm-mes", k, iteration)
         order = random_order(election.num_candidates, seed)
-        members = online_mes(election, order).members
+        members = _displacement_rule(election, order, None, subset_rule).members
         hired = [c for c in winners if c in members]
         for c in hired:
             hire_counts[c] += 1
@@ -600,7 +618,8 @@ def verify_thm_nash(cfg):
     For each sampled instance the brute-force optimum is computed once, then
     cfg.orders arrival orders are evaluated; the ratio compares exponentiated
     welfares exp(nash(online) - nash(opt)), the product-of-(1+u) form, which
-    stays scale-meaningful near zero.
+    stays scale-meaningful near zero. An instance has at most C(m, k)
+    committees, so each distinct committee's ratio is computed once.
     """
     bound = (1.0 - 1.0 / math.e) / 7.0
     instance_means = []
@@ -617,12 +636,17 @@ def verify_thm_nash(cfg):
         election = sample(spec)
         _, optimum = nash_optimum_bruteforce(election)
         instance_id = spec.instance_id()
+        by_committee = {}
         ratios = []
         for iteration in range(1, cfg.orders + 1):
             seed = derive_seed(cfg.base_seed, instance_id, 3, iteration)
             order = random_order(election.num_candidates, seed)
             committee = run_rule("online-nash", election, order)
-            ratios.append(math.exp(nash_welfare(election, committee) - optimum))
+            ratio = by_committee.get(committee.members)
+            if ratio is None:
+                ratio = math.exp(nash_welfare(election, committee) - optimum)
+                by_committee[committee.members] = ratio
+            ratios.append(ratio)
         instance_means.append(_mean(ratios))
         ratios_all.extend(ratios)
     mean_ratio = _mean(ratios_all)

@@ -150,6 +150,24 @@ def _displacement_rule(election, order, exploration, subset_rule):
     return _seat(election, order, decide, snapshot)
 
 
+def winners_memo(subset_rule):
+    """A subset rule for `_displacement_rule` that calls `subset_rule` once
+    per candidate set and returns its winners with no trace, for runs of many
+    orders of one election. The subset rules sort their candidates, so the
+    set decides the winners; one memo serves one election. It keeps winners
+    only, never payments or engine rounds, so no rounds are shared between
+    its calls."""
+    memo = {}
+
+    def memoised(election, candidates, _cache):
+        key = frozenset(candidates)
+        if key not in memo:
+            memo[key] = subset_rule(election, candidates)[0]
+        return memo[key], None
+
+    return memoised
+
+
 def online_mes(election, order, exploration=None):
     """Online method of equal shares: displacement against an equal-shares
     reference committee built from the first `exploration` arrivals

@@ -69,18 +69,3 @@ def committee_counts(election, rule):
         for permutation in itertools.permutations(range(election.num_candidates))
     )
 
-
-def winners_memo(subset_rule):
-    """A subset rule for `rules_online._displacement_rule` that calls
-    `subset_rule` once per candidate set and returns its winners with no
-    trace, so no equal-shares rounds are shared. The subset rules sort their
-    candidates, so the set decides; one memo serves one election."""
-    memo = {}
-
-    def memoised(election, candidates, _cache):
-        key = frozenset(candidates)
-        if key not in memo:
-            memo[key] = subset_rule(election, candidates)[0]
-        return memo[key], None
-
-    return memoised

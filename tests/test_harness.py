@@ -24,6 +24,9 @@ from streamelect import (
     compute_metrics,
     derive_seed,
     mes,
+    nash_optimum_bruteforce,
+    nash_welfare,
+    online_mes,
     parse_config,
     proportional_quota,
     random_order,
@@ -414,8 +417,24 @@ class TestDispatchThroughModuleAttributes:
         _run_instance("demo", showcase, (3, 4), None)
         expected = {f"streamelect.rules_online.{f}": 2 for f in self.RULE_FUNCTIONS}
         expected["streamelect.harness.run_rule"] = 8
-        expected["streamelect.harness.mes"] = 2
+        expected["streamelect.harness.mes"] = 1
         assert calls == expected
+
+    def test_offline_mes_once_per_instance(self, monkeypatch):
+        """Offline `mes` does not see the order: each instance calls it once,
+        and all its `offline-mes` records share that call's committee and
+        duration."""
+        calls = self.counting(monkeypatch)
+        records, _, _ = run_experiment(ExperimentConfig("exp4", instances=2, iterations=3))
+        assert calls["streamelect.harness.mes"] == 2
+        offline = collections.defaultdict(set)
+        for record in records:
+            if record.rule == "offline-mes":
+                offline[record.instance].add((record.committee, record.duration))
+        assert len(offline) == 2
+        for shared in offline.values():
+            ((_committee, duration),) = shared
+            assert duration > 0.0
 
 
 class TestCultureOf:
@@ -797,6 +816,42 @@ class TestAggregateProperty:
         assert_table(aggregate_exp4(records), naive_exp4(records))
 
 
+def naive_thm_mes(cfg):
+    """verify_thm_mes's winner and joint hire frequencies, with every order
+    run through `online_mes` afresh."""
+    election = single_approval_election()
+    k = election.committee_size
+    winners = sorted(mes(election)[0].members)
+    hires = collections.Counter()
+    joint = 0
+    for iteration in range(1, cfg.orders + 1):
+        seed = derive_seed(cfg.base_seed, "thm-mes", k, iteration)
+        members = online_mes(election, random_order(election.num_candidates, seed)).members
+        hires.update(c for c in winners if c in members)
+        joint += len(members & set(winners)) >= k - cfg.p
+    return {c: hires[c] / cfg.orders for c in winners}, joint / cfg.orders
+
+
+def naive_thm_nash(cfg):
+    """verify_thm_nash's per-instance means and pooled mean, with the Nash
+    welfare of every order's committee computed afresh."""
+    means = []
+    pooled = []
+    for index in range(cfg.instances):
+        seed = derive_seed(cfg.base_seed, f"thm-nash-{index}", 3, 0)
+        spec = SampleSpec("ic", 5, 12, 3, seed, p=0.5)
+        election = sample(spec)
+        _, optimum = nash_optimum_bruteforce(election)
+        ratios = []
+        for iteration in range(1, cfg.orders + 1):
+            seed = derive_seed(cfg.base_seed, spec.instance_id(), 3, iteration)
+            committee = run_rule("online-nash", election, random_order(12, seed))
+            ratios.append(math.exp(nash_welfare(election, committee) - optimum))
+        means.append(sum(ratios) / len(ratios))
+        pooled.extend(ratios)
+    return tuple(means), sum(pooled) / len(pooled)
+
+
 class TestTheoremChecks:
     def test_single_approval_instance(self):
         e = single_approval_election()
@@ -817,6 +872,20 @@ class TestTheoremChecks:
             1 / math.e - 3 * math.sqrt((1 / math.e) * (1 - 1 / math.e) / 200)
         )
         assert report.passed
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_mes_winners_memo_matches_fresh_runs(self, p):
+        """The winners memo shared across orders changes no frequency."""
+        cfg = ExperimentConfig("thm-mes", orders=300, p=p)
+        report = verify_thm_mes(cfg)
+        assert (report.winner_frequencies, report.joint_frequency) == naive_thm_mes(cfg)
+
+    @pytest.mark.parametrize("base_seed", [0, 1, 2])
+    def test_nash_welfare_memo_matches_fresh_welfare(self, base_seed):
+        """Scoring each distinct committee once changes no ratio's bits."""
+        cfg = ExperimentConfig("thm-nash", instances=2, orders=200, base_seed=base_seed)
+        report = verify_thm_nash(cfg)
+        assert (report.instance_means, report.mean_ratio) == naive_thm_nash(cfg)
 
     def test_mes_bound_vacuous_relaxation(self):
         report = verify_thm_mes(ExperimentConfig("thm-mes", p=3))

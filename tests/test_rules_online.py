@@ -33,14 +33,13 @@ from streamelect import (
     stream,
 )
 from streamelect import rules_online
-from streamelect.rules_online import ONLINE_RULE_IDS, _exploration_length
+from streamelect.rules_online import ONLINE_RULE_IDS, _exploration_length, winners_memo
 
 from conftest import (
     committee_counts,
     random_approval_election,
     random_cardinal_election,
     showcase_election,
-    winners_memo,
 )
 
 IDENTITY6 = ArrivalOrder.identity(6)
