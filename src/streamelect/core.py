@@ -7,6 +7,7 @@ operations are pure functions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -37,8 +38,18 @@ def seeded_rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def check_int(name, value):
+    """Refuse `value`, naming it `name`, unless it is an int or a numpy
+    integer; a bool is refused too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_size(n, m, k):
-    """Refuse an election size outside n >= 1, m >= 1 and 2 <= k < m."""
+    """Refuse an election size unless n, m and k are integers with n >= 1,
+    m >= 1 and 2 <= k < m."""
+    for name, value in (("n", n), ("m", m), ("k", k)):
+        check_int(name, value)
     if n < 1 or m < 1:
         raise ValueError(f"counts must be positive, got n={n}, m={m}")
     if not 2 <= k < m:
@@ -103,7 +114,7 @@ class ArrivalOrder:
     permutation: tuple
 
     def __post_init__(self):
-        perm = tuple(map(int, self.permutation))
+        perm = as_ids(self.permutation)
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("arrival order must be a permutation of 0..m-1")
         object.__setattr__(self, "permutation", perm)
@@ -149,15 +160,29 @@ class Committee:
     audit: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(c) for c in self.members))
+        object.__setattr__(self, "members", frozenset(as_ids(self.members, InvalidCommitteeError)))
 
     def sorted_members(self):
         return tuple(sorted(self.members))
 
 
+def as_ids(ids, error=ValueError):
+    """`ids` as a tuple of ints, each read through `operator.index`; an id
+    that is not an integer, a float say, is refused by name with `error`."""
+    ids = tuple(ids)
+    try:
+        return tuple(map(operator.index, ids))
+    except TypeError:
+        bad = next(c for c in ids if not isinstance(c, (int, np.integer)))
+        raise error(f"candidate id {bad!r} is not an integer") from None
+
+
 def members_of(committee):
-    """The member set of a Committee or of an iterable of candidate indices."""
-    return frozenset(getattr(committee, "members", committee))
+    """The member set of a Committee or of an iterable of candidate indices;
+    an index that is not an integer raises InvalidCommitteeError."""
+    if isinstance(committee, Committee):  # its ids were read when it was built
+        return committee.members
+    return frozenset(as_ids(getattr(committee, "members", committee), InvalidCommitteeError))
 
 
 def satisfaction(election, committee):

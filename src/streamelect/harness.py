@@ -1,11 +1,11 @@
 """Experiment orchestration: seeded evaluation runs, CSV emission, aggregate
 tables, and statistical checks of the probabilistic guarantees.
 
-Every run is a pure function of the experiment config: arrival seeds are
-derived by hashing (base seed, instance id, k, iteration), so reruns emit
-byte-identical CSVs. Wall-clock durations are recorded on RunRecords but
-kept out of the CSV for exactly that reason; aggregate timing is reported
-separately.
+Every run is a pure function of the experiment config: `_instances` builds
+every instance and `_seeds` derives every arrival seed, both by hashing
+(base seed, id, k, iteration), so reruns emit byte-identical CSVs.
+Wall-clock durations are recorded on RunRecords but kept out of the CSV for
+exactly that reason; aggregate timing is reported separately.
 
 Only the online rules see the arrival order. Work that does not depend on
 it is done once and shared by every order of an instance: the offline `mes`
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .axioms import check_ejr_plus_approval, check_jr
-from .core import Election, check_unread, random_order, satisfaction
+from .core import Election, check_int, check_unread, random_order, satisfaction, seeded_rng
 from .io import bundled_ballot_files, divisor_committee_size, parse_pabulib, read_native
 from .io import to_election, write_ids
 from .metrics import (
@@ -146,6 +146,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in SETTINGS:
             raise ValueError(f"unknown experiment: {self.experiment!r}")
+        for name in ("iterations", "instances", "orders", "p", "base_seed"):
+            check_int(name, getattr(self, name))
+        for divisor in self.divisors:
+            check_int("divisors", divisor)
         for name in ("iterations", "instances", "orders"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -218,6 +222,12 @@ def derive_seed(base_seed, instance_id, k, iteration):
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
+def _seeds(cfg, instance_id, election, count):
+    """Seeds (instance id, k, i) of an instance's arrival orders i = 1..count."""
+    k = election.committee_size
+    return [derive_seed(cfg.base_seed, instance_id, k, i) for i in range(1, count + 1)]
+
+
 def _run_instance(instance_id, election, seeds, spec):
     """The records of one instance, for each of `seeds` in turn, each in
     canonical rule order.
@@ -282,14 +292,15 @@ def _evaluate(election, committee, spec):
 
 def _instances(cfg, skipped):
     """Yield (instance id, election, spec or None) for every instance of an
-    evaluation experiment, in CSV order.
+    experiment, in CSV order.
 
     exp1 reads ballot files (the bundled ones when no source is configured)
     and exp2 native instances; both take k from each divisor in turn and
-    record in `skipped` the divisors that give none. exp3 walks its culture
-    grid and exp4 draws polarized parameters from one Philox stream; the
-    i-th of either is sampled from a SampleSpec seeded by "<experiment>-<i>"
-    and its k, and yielded with that spec.
+    record in `skipped` the divisors that give none. thm-mes has one
+    instance, id "thm-mes". exp3 walks its culture grid, exp4 draws
+    polarized parameters from seed ("exp4", 0, 0) and thm-nash repeats one
+    IC spec; the i-th of these is sampled from a SampleSpec seeded by
+    ("<experiment>-<i>", k, 0) and yielded with that spec.
     """
     if cfg.experiment in ("exp1", "exp2"):
         if cfg.sources:
@@ -318,6 +329,9 @@ def _instances(cfg, skipped):
                     scoped = dataclasses.replace(election, committee_size=k)
                 yield f"{name}/m{divisor}", scoped, None
         return
+    if cfg.experiment == "thm-mes":
+        yield "thm-mes", single_approval_election(), None
+        return
     if cfg.experiment == "exp3":
         cultures = ("ic", "mallows", "normalized-mallows")
         grid = itertools.product(cultures, EXP3_PARAMS, EXP3_VOTERS, EXP3_PAIRS)
@@ -325,8 +339,8 @@ def _instances(cfg, skipped):
         for culture, value, n, (m, k) in itertools.islice(grid, cfg.instances):
             (name,) = (field for field, described in CULTURE_TABLE[culture][1].items() if described)
             draws.append((culture, n, m, k, {name: value}))
-    else:
-        rng = np.random.Generator(np.random.Philox(key=derive_seed(cfg.base_seed, "exp4", 0, 0)))
+    elif cfg.experiment == "exp4":
+        rng = seeded_rng(derive_seed(cfg.base_seed, "exp4", 0, 0))
         draws = []
         for _ in range(cfg.instances):
             n = int(rng.integers(EXP4_VOTERS[0], EXP4_VOTERS[1] + 1))
@@ -334,6 +348,8 @@ def _instances(cfg, skipped):
             k = int(rng.integers(2, m // 2 + 1))
             params = {"x": float(rng.uniform(*EXP4_SHARE)), "q": float(rng.uniform(*EXP4_RATE))}
             draws.append(("polarized", n, m, k, params))
+    else:
+        draws = [("ic", 5, 12, 3, {"p": 0.5})] * cfg.instances
     for index, (culture, n, m, k, params) in enumerate(draws):
         seed = derive_seed(cfg.base_seed, f"{cfg.experiment}-{index}", k, 0)
         spec = SampleSpec(culture, n, m, k, seed, **params)
@@ -496,10 +512,7 @@ def run_experiment(cfg):
     skipped = []
     records = []
     for instance_id, election, spec in _instances(cfg, skipped):
-        seeds = [
-            derive_seed(cfg.base_seed, instance_id, election.committee_size, iteration)
-            for iteration in range(1, cfg.iterations + 1)
-        ]
+        seeds = _seeds(cfg, instance_id, election, cfg.iterations)
         records.extend(_run_instance(instance_id, election, seeds, spec))
     aggregates = {name: table(records) for name, table in AGGREGATES[cfg.experiment].items()}
     aggregates["timing"] = _aggregate_timing(records)
@@ -561,7 +574,7 @@ def verify_thm_mes(cfg):
     Each order runs online-mes through one `winners_memo` of the call, so a
     candidate set that recurs across orders is solved once.
     """
-    election = single_approval_election()
+    ((instance_id, election, _),) = _instances(cfg, [])
     k = election.committee_size
     committee, _ = mes(election)
     winners = sorted(committee.members)
@@ -571,8 +584,7 @@ def verify_thm_mes(cfg):
     subset_rule = winners_memo(equal_shares_subset)
     hire_counts = {c: 0 for c in winners}
     joint_count = 0
-    for iteration in range(1, orders + 1):
-        seed = derive_seed(cfg.base_seed, "thm-mes", k, iteration)
+    for seed in _seeds(cfg, instance_id, election, orders):
         order = random_order(election.num_candidates, seed)
         members = _displacement_rule(election, order, None, subset_rule).members
         hired = [c for c in winners if c in members]
@@ -624,22 +636,11 @@ def verify_thm_nash(cfg):
     bound = (1.0 - 1.0 / math.e) / 7.0
     instance_means = []
     ratios_all = []
-    for index in range(cfg.instances):
-        spec = SampleSpec(
-            culture="ic",
-            num_voters=5,
-            num_candidates=12,
-            committee_size=3,
-            p=0.5,
-            seed=derive_seed(cfg.base_seed, f"thm-nash-{index}", 3, 0),
-        )
-        election = sample(spec)
+    for instance_id, election, _ in _instances(cfg, []):
         _, optimum = nash_optimum_bruteforce(election)
-        instance_id = spec.instance_id()
         by_committee = {}
         ratios = []
-        for iteration in range(1, cfg.orders + 1):
-            seed = derive_seed(cfg.base_seed, instance_id, 3, iteration)
+        for seed in _seeds(cfg, instance_id, election, cfg.orders):
             order = random_order(election.num_candidates, seed)
             committee = run_rule("online-nash", election, order)
             ratio = by_committee.get(committee.members)

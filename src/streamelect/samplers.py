@@ -58,18 +58,19 @@ class SampleSpec:
                 raise ValueError(f"{self.culture} needs {meaning} {name} in {interval}, got {value}")
 
     def instance_id(self):
+        """culture-n<n>-m<m>-k<k>, the fields the culture reads, then s<seed>."""
         parts = [
             self.culture,
             f"n{self.num_voters}",
             f"m{self.num_candidates}",
             f"k{self.committee_size}",
         ]
-        for name in ("p", "phi", "x", "q"):
+        for name, described in CULTURE_TABLE[self.culture][1].items():
             value = getattr(self, name)
-            if value is not None:
+            if described is not None:
                 parts.append(f"{name}{value:g}")
-        if not self.noise:
-            parts.append("nonoise")
+            elif not value:
+                parts.append(f"no{name}")
         parts.append(f"s{self.seed}")
         return "-".join(parts)
 

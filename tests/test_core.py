@@ -32,7 +32,7 @@ class TestElection:
         with pytest.raises(ValueError):
             showcase.utilities[0, 0] = 5.0
 
-    @pytest.mark.parametrize("k", [0, 1, 6, 7])
+    @pytest.mark.parametrize("k", [0, 1, 6, 7, 2.5, 2.0, True, None])
     def test_committee_size_bounds(self, k):
         rows = [[1.0] * 6, [1.0] * 6]
         with pytest.raises(ValueError):
@@ -40,6 +40,7 @@ class TestElection:
 
     def test_minimum_viable_size(self):
         Election([[1.0, 0.0, 1.0]], 2)
+        Election([[1.0, 0.0, 1.0]], np.int64(2))
 
     def test_rejects_negative_utilities(self):
         with pytest.raises(ValueError):
@@ -97,6 +98,12 @@ class TestArrivalOrder:
             ArrivalOrder((0, 0, 1))
         with pytest.raises(ValueError):
             ArrivalOrder((1, 2, 3))
+
+    def test_refuses_a_float_id_by_name(self):
+        # Truncating 1.7 to 1 would accept the order (0, 1, 2).
+        with pytest.raises(ValueError, match="^candidate id 1.7 is not an integer$"):
+            ArrivalOrder([0, 1.7, 2])
+        assert ArrivalOrder([np.int64(1), 0]).permutation == (1, 0)
 
     def test_length(self):
         assert len(ArrivalOrder.identity(5)) == 5
@@ -175,6 +182,10 @@ class TestSatisfaction:
         with pytest.raises(InvalidCommitteeError):
             satisfaction(showcase, [0, 1, 2, 3])
 
+    def test_rejects_a_float_id(self, showcase):
+        with pytest.raises(InvalidCommitteeError, match="^candidate id 0.5 is not an integer$"):
+            satisfaction(showcase, [0.5, 2.2])
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_additive(self, seed):
@@ -206,6 +217,11 @@ class TestCommittee:
         c = Committee({np.int64(3), 1})
         assert c.members == frozenset({1, 3})
         assert c.sorted_members() == (1, 3)
+
+    def test_refuses_a_float_id(self):
+        # Truncating the ids would elect {0, 1}.
+        with pytest.raises(InvalidCommitteeError, match="^candidate id 0.5 is not an integer$"):
+            Committee([0.5, 1.9])
 
     def test_audit_not_compared(self):
         assert Committee(frozenset({1}), ("x",)) == Committee(frozenset({1}), ("y",))

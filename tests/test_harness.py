@@ -219,6 +219,24 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=match):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "experiment, name, value, bad",
+        [
+            # Refused before any run: p = 0.5 would give thm-mes a negative
+            # joint threshold, a fractional count would fail mid-run, and
+            # orders=True would run one order.
+            ("thm-mes", "p", 0.5, 0.5),
+            ("exp4", "iterations", 1.5, 1.5),
+            ("exp3", "instances", 1.5, 1.5),
+            ("thm-nash", "orders", True, True),
+            ("thm-nash", "base_seed", 7.0, 7.0),
+            ("exp1", "divisors", (4, 2.5), 2.5),
+        ],
+    )
+    def test_constructor_rejects_a_non_integer_setting(self, experiment, name, value, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            ExperimentConfig(experiment, **{name: value})
+
     def test_constructor_rejects_an_unknown_experiment(self):
         with pytest.raises(ValueError, match="^unknown experiment: 'exp9'$"):
             ExperimentConfig("exp9")

@@ -581,8 +581,10 @@ class TestExactHireBounds:
 
     def test_online_mes_on_approval_ballots(self):
         """On 100 random approval elections with m <= 6, online-mes hires
-        each of `mes`'s winners in at least 1/e of all orders. This checks
-        the bound on these ballots; it does not prove it."""
+        each of `mes`'s winners in at least 1/e of all orders, and at least
+        k - p of them together in at least (1/e)^(k - p) of all orders, for
+        every p < k. This checks the bounds on these ballots; it does not
+        prove them."""
         rng = seeded_rng(28)
         for _ in range(100):
             election = random_approval_election(rng, max_voters=8, max_candidates=6, max_k=4)
@@ -595,9 +597,16 @@ class TestExactHireBounds:
             assert rule(election, identity).members == online_mes(election, identity).members
             counts = committee_counts(election, rule)
             orders = sum(counts.values())
-            for c in mes(election)[0].members:
+            winners = mes(election)[0].members
+            for c in winners:
                 hires = sum(count for members, count in counts.items() if c in members)
                 assert Fraction(hires, orders) >= 1 / E_BELOW
+            k = election.committee_size
+            for p in range(k):
+                joint = sum(
+                    count for members, count in counts.items() if len(members & winners) >= k - p
+                )
+                assert Fraction(joint, orders) >= (1 / E_BELOW) ** (k - p)
 
     @pytest.mark.parametrize("rule", [online_mes, online_bos])
     def test_cardinal_ballots_can_fall_below(self, rule):

@@ -80,6 +80,9 @@ class TestSampleSpec:
                 {"culture": "polarized", "p": None, "x": 0.5, "q": 0.5, "noise": False},
                 "polarized does not read noise",
             ),
+            ({"committee_size": 2.5}, "k must be an integer, got 2.5"),
+            ({"num_voters": 5.5}, "n must be an integer, got 5.5"),
+            ({"num_candidates": True}, "m must be an integer, got True"),
         ],
     )
     def test_refusal_names_the_field(self, overrides, message):
