@@ -32,7 +32,9 @@ class InstanceTooLargeError(ValueError):
 
 
 def seeded_rng(seed):
-    """Return the library-wide deterministic generator for a non-negative seed."""
+    """Return the library-wide deterministic generator for a non-negative
+    integer seed; a float or bool seed is refused, not truncated."""
+    check_int("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
@@ -168,13 +170,16 @@ class Committee:
 
 def as_ids(ids, error=ValueError):
     """`ids` as a tuple of ints, each read through `operator.index`; an id
-    that is not an integer, a float say, is refused by name with `error`."""
+    that is not an integer, a float or a bool say, is refused by name with
+    `error`."""
     ids = tuple(ids)
-    try:
-        return tuple(map(operator.index, ids))
-    except TypeError:
-        bad = next(c for c in ids if not isinstance(c, (int, np.integer)))
-        raise error(f"candidate id {bad!r} is not an integer") from None
+    if bool not in map(type, ids):
+        try:
+            return tuple(map(operator.index, ids))
+        except TypeError:
+            pass
+    bad = next(c for c in ids if isinstance(c, bool) or not isinstance(c, (int, np.integer)))
+    raise error(f"candidate id {bad!r} is not an integer")
 
 
 def members_of(committee):

@@ -8,15 +8,16 @@ Wall-clock durations are recorded on RunRecords but kept out of the CSV for
 exactly that reason; aggregate timing is reported separately.
 
 Only the online rules see the arrival order. Work that does not depend on
-it is done once and shared by every order of an instance: the offline `mes`
-committee and each distinct committee's evaluation in `run_experiment`,
-each distinct committee's Nash ratio in `verify_thm_nash`, and the
-winners of each candidate set in `verify_thm_mes`.
+it is done once per instance: offline `mes` in `run_experiment`, and through
+one `functools.cache` per instance keyed by member set, each distinct
+committee's evaluation there, its Nash ratio in `verify_thm_nash`, and each
+candidate set's winners in `verify_thm_mes` (inside `winners_memo`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .axioms import check_ejr_plus_approval, check_jr
-from .core import Election, check_int, check_unread, random_order, satisfaction, seeded_rng
+from .core import Committee, Election, check_int, check_unread, random_order, satisfaction, seeded_rng
 from .io import bundled_ballot_files, divisor_committee_size, parse_pabulib, read_native
 from .io import to_election, write_ids
 from .metrics import (
@@ -40,7 +41,7 @@ from .metrics import (
     relative_to_baseline,
 )
 from .rules_offline import equal_shares_subset, mes, nash_optimum_bruteforce, nash_welfare
-from .rules_online import ONLINE_RULE_IDS, _displacement_rule, run_rule, winners_memo
+from .rules_online import ONLINE_RULE_IDS, run_rule, winners_memo
 from .samplers import CULTURE_TABLE, CULTURES, SampleSpec, proportional_quota, sample
 
 # The ExperimentConfig fields each experiment reads.
@@ -235,14 +236,14 @@ def _run_instance(instance_id, election, seeds, spec):
     Offline `mes` does not see the order, so it is called and timed once,
     and every `offline-mes` record of the instance carries that committee
     and that duration. Every online rule call is made and timed per seed. A
-    memo maps each committee's member set to its evaluation, so every
-    distinct committee of the instance is evaluated once; it is dropped when
-    the instance ends.
+    `functools.cache` of this call evaluates each distinct member set of the
+    instance once, on a `Committee` built from those members, and is dropped
+    when the instance ends.
     """
     start = time.perf_counter()
     offline, _ = mes(election)
     offline_duration = time.perf_counter() - start
-    memo = {}
+    evaluate = functools.cache(lambda members: _evaluate(election, Committee(members), spec))
     records = []
     for seed in seeds:
         order = random_order(election.num_candidates, seed)
@@ -253,9 +254,6 @@ def _run_instance(instance_id, election, seeds, spec):
                 start = time.perf_counter()
                 committee = run_rule(rule_id, election, order)
                 duration = time.perf_counter() - start
-            evaluation = memo.get(committee.members)
-            if evaluation is None:
-                evaluation = memo[committee.members] = _evaluate(election, committee, spec)
             records.append(
                 RunRecord(
                     instance=instance_id,
@@ -264,7 +262,7 @@ def _run_instance(instance_id, election, seeds, spec):
                     k=election.committee_size,
                     committee=committee.sorted_members(),
                     duration=duration,
-                    **evaluation,
+                    **evaluate(committee.members),
                 )
             )
     return records
@@ -571,8 +569,8 @@ def verify_thm_mes(cfg):
     (1/e)^(k-p) minus the same allowance. p = k is vacuous (trivially
     passed).
 
-    Each order runs online-mes through one `winners_memo` of the call, so a
-    candidate set that recurs across orders is solved once.
+    Every order runs the online-mes rule of one `winners_memo` call, whose
+    cache solves a candidate set that recurs across orders once.
     """
     ((instance_id, election, _),) = _instances(cfg, [])
     k = election.committee_size
@@ -581,12 +579,12 @@ def verify_thm_mes(cfg):
     if cfg.p >= k:
         return MesTheoremReport({}, 0.0, 1.0, 1.0, cfg.p, 0, vacuous=True, passed=True)
     orders = cfg.orders
-    subset_rule = winners_memo(equal_shares_subset)
+    rule = winners_memo(equal_shares_subset)
     hire_counts = {c: 0 for c in winners}
     joint_count = 0
     for seed in _seeds(cfg, instance_id, election, orders):
         order = random_order(election.num_candidates, seed)
-        members = _displacement_rule(election, order, None, subset_rule).members
+        members = rule(election, order).members
         hired = [c for c in winners if c in members]
         for c in hired:
             hire_counts[c] += 1
@@ -631,23 +629,19 @@ def verify_thm_nash(cfg):
     cfg.orders arrival orders are evaluated; the ratio compares exponentiated
     welfares exp(nash(online) - nash(opt)), the product-of-(1+u) form, which
     stays scale-meaningful near zero. An instance has at most C(m, k)
-    committees, so each distinct committee's ratio is computed once.
+    committees, so a `functools.cache` per instance computes each distinct
+    member set's ratio once.
     """
     bound = (1.0 - 1.0 / math.e) / 7.0
     instance_means = []
     ratios_all = []
     for instance_id, election, _ in _instances(cfg, []):
         _, optimum = nash_optimum_bruteforce(election)
-        by_committee = {}
+        ratio = functools.cache(lambda members: math.exp(nash_welfare(election, members) - optimum))
         ratios = []
         for seed in _seeds(cfg, instance_id, election, cfg.orders):
             order = random_order(election.num_candidates, seed)
-            committee = run_rule("online-nash", election, order)
-            ratio = by_committee.get(committee.members)
-            if ratio is None:
-                ratio = math.exp(nash_welfare(election, committee) - optimum)
-                by_committee[committee.members] = ratio
-            ratios.append(ratio)
+            ratios.append(ratio(run_rule("online-nash", election, order).members))
         instance_means.append(_mean(ratios))
         ratios_all.extend(ratios)
     mean_ratio = _mean(ratios_all)

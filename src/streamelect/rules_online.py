@@ -11,6 +11,7 @@ segments hires exactly one candidate.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -151,21 +152,19 @@ def _displacement_rule(election, order, exploration, subset_rule):
 
 
 def winners_memo(subset_rule):
-    """A subset rule for `_displacement_rule` that calls `subset_rule` once
-    per candidate set and returns its winners with no trace, for runs of many
-    orders of one election. The subset rules sort their candidates, so the
-    set decides the winners; one memo serves one election. It keeps winners
-    only, never payments or engine rounds, so no rounds are shared between
-    its calls."""
-    memo = {}
+    """The displacement scheme over `subset_rule` at the default exploration
+    length, as a rule `(election, order) -> Committee` for runs of many
+    orders. Its subset calls share one `functools.cache` that lives as long
+    as the returned rule: each (election, candidate set) is solved once, and
+    only its winners are kept. The subset rules sort their candidates, so the
+    set decides the winners. No payments or engine rounds are kept, so no
+    rounds are shared between calls."""
+    winners = functools.cache(lambda election, key: subset_rule(election, key)[0])
 
     def memoised(election, candidates, _cache):
-        key = frozenset(candidates)
-        if key not in memo:
-            memo[key] = subset_rule(election, candidates)[0]
-        return memo[key], None
+        return winners(election, frozenset(candidates)), None
 
-    return memoised
+    return lambda election, order: _displacement_rule(election, order, None, memoised)
 
 
 def online_mes(election, order, exploration=None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Election, check_size, check_unread, members_of, seeded_rng
+from .core import Election, check_int, check_size, check_unread, members_of, seeded_rng
 
 MEMORY_CAP = 10_000_000  # cap on n * m utility entries
 
@@ -42,6 +42,7 @@ class SampleSpec:
         if self.culture not in CULTURE_TABLE:
             raise ValueError(f"unknown culture: {self.culture!r}")
         check_size(self.num_voters, self.num_candidates, self.committee_size)
+        check_int("seed", self.seed)
         _, reads = CULTURE_TABLE[self.culture]
         check_unread(self, reads, self.culture)
         if self.num_voters * self.num_candidates > MEMORY_CAP:

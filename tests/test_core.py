@@ -103,6 +103,9 @@ class TestArrivalOrder:
         # Truncating 1.7 to 1 would accept the order (0, 1, 2).
         with pytest.raises(ValueError, match="^candidate id 1.7 is not an integer$"):
             ArrivalOrder([0, 1.7, 2])
+        # Reading True as 1 would accept the order (1, 0).
+        with pytest.raises(ValueError, match="^candidate id True is not an integer$"):
+            ArrivalOrder([True, False])
         assert ArrivalOrder([np.int64(1), 0]).permutation == (1, 0)
 
     def test_length(self):
@@ -134,6 +137,16 @@ class TestRandomOrder:
             random_order(1, -1)
         with pytest.raises(ValueError):
             seeded_rng(-3)
+
+    @pytest.mark.parametrize("seed", [2.9, 2.0, True])
+    def test_refuses_a_seed_that_is_not_an_integer(self, seed):
+        # Truncating 2.9 or reading True as 1 would repeat the orders of
+        # seeds 2 and 1.
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
+            random_order(12, seed)
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
+            seeded_rng(seed)
+        assert random_order(12, np.int64(2)) == random_order(12, 2)
 
     @given(m=st.integers(2, 40), seed=st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
@@ -185,6 +198,8 @@ class TestSatisfaction:
     def test_rejects_a_float_id(self, showcase):
         with pytest.raises(InvalidCommitteeError, match="^candidate id 0.5 is not an integer$"):
             satisfaction(showcase, [0.5, 2.2])
+        with pytest.raises(InvalidCommitteeError, match="^candidate id False is not an integer$"):
+            satisfaction(showcase, [2, False])
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -222,6 +237,9 @@ class TestCommittee:
         # Truncating the ids would elect {0, 1}.
         with pytest.raises(InvalidCommitteeError, match="^candidate id 0.5 is not an integer$"):
             Committee([0.5, 1.9])
+        # Reading True as 1 would elect {1}.
+        with pytest.raises(InvalidCommitteeError, match="^candidate id True is not an integer$"):
+            Committee([True])
 
     def test_audit_not_compared(self):
         assert Committee(frozenset({1}), ("x",)) == Committee(frozenset({1}), ("y",))

@@ -898,6 +898,20 @@ class TestTheoremChecks:
         report = verify_thm_mes(cfg)
         assert (report.winner_frequencies, report.joint_frequency) == naive_thm_mes(cfg)
 
+    def test_mes_solves_each_candidate_set_once(self, monkeypatch):
+        """Every order shares the winners cache of one `winners_memo` rule,
+        so the subset rule is called once per distinct candidate set."""
+        calls = []
+        original = harness.equal_shares_subset
+
+        def counted(election, candidates, cache=None):
+            calls.append(frozenset(candidates))
+            return original(election, candidates, cache)
+
+        monkeypatch.setattr(harness, "equal_shares_subset", counted)
+        verify_thm_mes(ExperimentConfig("thm-mes", orders=300))
+        assert calls and len(calls) == len(set(calls))
+
     @pytest.mark.parametrize("base_seed", [0, 1, 2])
     def test_nash_welfare_memo_matches_fresh_welfare(self, base_seed):
         """Scoring each distinct committee once changes no ratio's bits."""

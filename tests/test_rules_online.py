@@ -561,11 +561,7 @@ class TestExactHireBounds:
             matrix[2 * c : 2 * c + 2, c] = 1.0
         election = Election(matrix, k)
         winners = frozenset(mes(election)[0].members)
-        subset_rule = winners_memo(equal_shares_subset)
-
-        def rule(election, order):
-            return rules_online._displacement_rule(election, order, None, subset_rule)
-
+        rule = winners_memo(equal_shares_subset)
         for permutation in itertools.islice(itertools.permutations(range(m)), 20):
             order = ArrivalOrder(permutation)
             assert rule(election, order).members == online_mes(election, order).members
@@ -588,11 +584,7 @@ class TestExactHireBounds:
         rng = seeded_rng(28)
         for _ in range(100):
             election = random_approval_election(rng, max_voters=8, max_candidates=6, max_k=4)
-            subset_rule = winners_memo(equal_shares_subset)
-
-            def rule(election, order):
-                return rules_online._displacement_rule(election, order, None, subset_rule)
-
+            rule = winners_memo(equal_shares_subset)
             identity = ArrivalOrder.identity(election.num_candidates)
             assert rule(election, identity).members == online_mes(election, identity).members
             counts = committee_counts(election, rule)

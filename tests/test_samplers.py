@@ -83,6 +83,9 @@ class TestSampleSpec:
             ({"committee_size": 2.5}, "k must be an integer, got 2.5"),
             ({"num_voters": 5.5}, "n must be an integer, got 5.5"),
             ({"num_candidates": True}, "m must be an integer, got True"),
+            # A truncated seed would sample seed 1's election under id ...-s1.5.
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
         ],
     )
     def test_refusal_names_the_field(self, overrides, message):
