@@ -7,6 +7,7 @@ operations are pure functions.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
@@ -107,6 +108,14 @@ class Election:
     def is_approval(self):
         """Whether every utility is 0 or 1, computed on first read."""
         return bool(np.all((self.utilities == 0.0) | (self.utilities == 1.0)))
+
+    @cached_property
+    def ranking(self):
+        """Every candidate id by descending total utility, ties toward the
+        smaller id, computed on first read. Totals are exact (`math.fsum` per
+        column), so equal totals tie in any voter order."""
+        totals = [math.fsum(column.tolist()) for column in self.utilities.T]
+        return tuple(sorted(range(self.num_candidates), key=lambda c: (-totals[c], c)))
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,9 @@ SETTINGS = {
     "thm-nash": ("instances", "orders", "base_seed"),
 }
 
+# The integer ExperimentConfig fields, checked and parsed as integers.
+INT_SETTINGS = ("iterations", "instances", "orders", "p", "base_seed")
+
 ALL_RULE_IDS = ONLINE_RULE_IDS + ("offline-mes",)
 
 # Desk-scale grid for the sampled-culture experiment.
@@ -147,7 +150,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in SETTINGS:
             raise ValueError(f"unknown experiment: {self.experiment!r}")
-        for name in ("iterations", "instances", "orders", "p", "base_seed"):
+        for name in INT_SETTINGS:
             check_int(name, getattr(self, name))
         for divisor in self.divisors:
             check_int("divisors", divisor)
@@ -191,7 +194,7 @@ def parse_config(text):
             sources.append(value)
         elif key == "divisors":
             values[key] = tuple(_config_int(v, lineno) for v in value.replace(",", " ").split())
-        elif key in ("iterations", "base_seed", "instances", "orders", "p"):
+        elif key in INT_SETTINGS:
             values[key] = _config_int(value, lineno)
         elif key in ("experiment", "output"):
             values[key] = value

@@ -197,7 +197,8 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
     Affordable candidates always take precedence over overspending ones, and
     ties break toward the smaller id, so the run coincides with plain equal
     shares whenever every selected candidate is affordable. Completion fills
-    up to k members by descending column sum, ties toward the smaller id.
+    up to k members from `cols` in `Election.ranking` order: descending exact
+    column total, ties toward the smaller id.
 
     `cache`, an `_EngineCache`, lets consecutive calls on one election and
     engine reuse each other's work; without one, the call gets a fresh cache
@@ -219,7 +220,6 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
     Returns (members, MesTrace) in the id space of `cols`.
     """
     n, m, k = election.num_voters, election.num_candidates, election.committee_size
-    utilities = election.utilities
     bad = [c for c in cols if not 0 <= c < m] + [a for a, b in zip(cols, cols[1:]) if a == b]
     if bad:
         raise ValueError(f"candidates must be distinct ids in 0..{m - 1}; offending ids {bad}")
@@ -262,9 +262,8 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
     elected = {r.candidate for r in rounds}
     completion = ()
     if len(rounds) < k:
-        remaining = [c for c in cols if c not in elected]
-        remaining.sort(key=lambda c: (-utilities[:, c].sum(), c))
-        completion = tuple(remaining[: k - len(rounds)])
+        remaining = set(cols) - elected
+        completion = tuple([c for c in election.ranking if c in remaining][: k - len(rounds)])
     return frozenset(elected | set(completion)), MesTrace(tuple(rounds), completion)
 
 
@@ -295,8 +294,9 @@ def mes(election):
     sum_i min(b_i, rho * u_i(c)) >= 1. Each round elects the unelected
     candidate with the smallest such rho (ties toward the smaller index) and
     charges each voter min(b_i, rho * u_i(c)). When nothing is affordable,
-    utilitarian completion adds candidates by descending total utility (ties
-    toward the smaller index) until k members are chosen.
+    utilitarian completion adds candidates in `Election.ranking` order
+    (descending exact total utility, ties toward the smaller index) until k
+    members are chosen.
 
     Returns
     -------
@@ -315,7 +315,8 @@ def bos(election):
     best scaled rate empty their remaining budgets to buy it (overspending:
     the shortfall between their total budget and the unit price is waived).
     Coincides with `mes` on every instance where each round's selected
-    candidate is exactly affordable.
+    candidate is exactly affordable. Seats left open are filled in
+    `Election.ranking` order, as in `mes`.
 
     Returns
     -------
@@ -327,11 +328,9 @@ def bos(election):
 
 
 def utilitarian_topk(election):
-    """The k candidates with the largest total utility, ties by smaller index.
-    Totals are exact sums (math.fsum), so equal totals tie in any voter order."""
-    sums = [math.fsum(column) for column in election.utilities.T]
-    ranked = sorted(range(election.num_candidates), key=lambda c: (-sums[c], c))
-    return Committee(frozenset(ranked[: election.committee_size]))
+    """The first k candidates of `Election.ranking`: the largest exact total
+    utilities, ties by smaller index."""
+    return Committee(frozenset(election.ranking[: election.committee_size]))
 
 
 def nash_welfare(election, committee):

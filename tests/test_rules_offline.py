@@ -1,6 +1,7 @@
 import math
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,6 +236,29 @@ class TestGreedyPurchase:
         assert (committee.members, committee.audit) == reference_greedy(e, order)
 
 
+# Columns 0-2 each total exactly 5.5, though numpy's column sum of this
+# row-major matrix reads 5.500000000000001 for column 2.
+FLOAT_TIE = Election(
+    [
+        list(row)
+        for row in zip(
+            [i / 10 for i in range(1, 11)],
+            [0.8, 0.6, 0.5, 0.3, 1.0, 0.7, 0.2, 0.4, 0.1, 0.9],
+            [0.2, 0.9, 0.3, 0.7, 0.1, 1.0, 0.6, 0.8, 0.4, 0.5],
+            [0.0] * 10,
+        )
+    ],
+    2,
+)
+
+# Equal-shares rounds elect 0 and 3, leaving one seat to completion. Columns
+# 1 and 2 both total exactly 1.5, though a left-to-right float sum of column
+# 2 reads 1.5000000000000002.
+COMPLETION_TIE = Election(
+    [[2, 0.5, 1, 0], [0, 0, 0.3, 0.5], [0.5, 1, 0, 1], [1, 0, 0.1, 1], [1, 0, 0.1, 0]], 3
+)
+
+
 class TestMes:
     def test_showcase_committee(self, showcase):
         committee, trace = mes(showcase)
@@ -289,6 +313,12 @@ class TestMes:
         for outcome in (committee, Committee(trace.core_members())):
             assert not check_ejr_bruteforce(e, outcome).satisfied
             assert check_ejr_bruteforce(e, outcome, gamma=1).satisfied
+
+    def test_completion_breaks_an_exact_tie_by_index(self):
+        committee, trace = mes(COMPLETION_TIE)
+        assert [r.candidate for r in trace.rounds] == [0, 3]
+        assert trace.completion_added == (1,)
+        assert committee == utilitarian_topk(COMPLETION_TIE)
 
 
 class TestBos:
@@ -351,16 +381,48 @@ class TestUtilitarian:
         assert utilitarian_topk(e).sorted_members() == (0, 1)
 
     def test_exact_tie_of_float_totals(self):
-        """Columns 0-2 each total exactly 5.5, though numpy's column sum of
-        this row-major matrix reads 5.500000000000001 for column 2."""
-        columns = [
-            [i / 10 for i in range(1, 11)],
-            [0.8, 0.6, 0.5, 0.3, 1.0, 0.7, 0.2, 0.4, 0.1, 0.9],
-            [0.2, 0.9, 0.3, 0.7, 0.1, 1.0, 0.6, 0.8, 0.4, 0.5],
-            [0.0] * 10,
-        ]
-        e = Election([list(row) for row in zip(*columns)], 2)
-        assert utilitarian_topk(e).sorted_members() == (0, 1)
+        assert utilitarian_topk(FLOAT_TIE).sorted_members() == (0, 1)
+
+
+@st.composite
+def tie_prone_elections(draw):
+    """A seeded election with n <= 9 and m <= 8 on 0/1 ballots or on the
+    one-decimal grid {0, .1, .3, .5, 1, 2}, where columns with equal exact
+    totals are common."""
+    rng = seeded_rng(draw(st.integers(0, 10_000)))
+    n, m = int(rng.integers(1, 10)), int(rng.integers(3, 9))
+    grid = [0.0, 1.0] if draw(st.booleans()) else [0.0, 0.1, 0.3, 0.5, 1.0, 2.0]
+    return Election(rng.choice(grid, (n, m)), int(rng.integers(2, m)))
+
+
+class TestRanking:
+    @given(tie_prone_elections())
+    @example(FLOAT_TIE)
+    @settings(max_examples=300, deadline=None)
+    def test_orders_by_exact_totals(self, e):
+        # The exact sum of each column's floats, as a Fraction, rounded once.
+        totals = [float(sum(map(Fraction, column.tolist()))) for column in e.utilities.T]
+        assert e.ranking == tuple(sorted(range(e.num_candidates), key=lambda c: (-totals[c], c)))
+
+    @given(tie_prone_elections(), st.integers(0, 10_000))
+    @example(FLOAT_TIE, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_ignores_the_voters_order(self, e, seed):
+        rows = seeded_rng(seed).permutation(e.num_voters)
+        assert Election(e.utilities[rows], e.committee_size).ranking == e.ranking
+
+    @given(tie_prone_elections(), st.integers(0, 10_000))
+    @example(COMPLETION_TIE, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_completion_takes_the_first_open_ids(self, e, seed):
+        everyone = range(e.num_candidates)
+        draws = seeded_rng(seed).random(e.num_candidates)
+        subset = [c for c in everyone if draws[c] < 0.7]
+        runs = [(everyone, mes(e)[1]), (everyone, bos(e)[1])]
+        runs += [(subset, rule(e, subset)[1]) for rule in (equal_shares_subset, bounded_overspending_subset)]
+        for cols, trace in runs:
+            open_ids = [c for c in e.ranking if c in cols and c not in trace.core_members()]
+            assert trace.completion_added == tuple(open_ids[: e.committee_size - len(trace.rounds)])
 
 
 class TestNash:
