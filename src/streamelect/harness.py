@@ -11,7 +11,9 @@ Only the online rules see the arrival order. Work that does not depend on
 it is done once per instance: offline `mes` in `run_experiment`, and through
 one `functools.cache` per instance keyed by member set, each distinct
 committee's evaluation there, its Nash ratio in `verify_thm_nash`, and each
-candidate set's winners in `verify_thm_mes` (inside `winners_memo`).
+candidate set's winners in `verify_thm_mes` (inside `winners_memo`). In
+`run_experiment`, online-mes and online-bos each keep one `EngineCache` per
+instance, so each equal-shares key is solved once per instance.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .metrics import (
     compute_metrics,
     relative_to_baseline,
 )
-from .rules_offline import equal_shares_subset, mes, nash_optimum_bruteforce, nash_welfare
+from .rules_offline import EngineCache, equal_shares_subset, mes, nash_optimum_bruteforce
+from .rules_offline import nash_welfare
 from .rules_online import ONLINE_RULE_IDS, run_rule, winners_memo
 from .samplers import CULTURE_TABLE, CULTURES, SampleSpec, proportional_quota, sample
 
@@ -83,7 +86,9 @@ class RunRecord:
     evaluates each distinct committee of an instance once: the `offline-mes`
     records of an instance share that one call's committee and `duration`,
     and records that elect the same members share their metrics, JR, EJR+
-    and quota fields."""
+    and quota fields. The online-mes and online-bos calls of an instance
+    reuse the equal-shares keys its earlier orders solved, so their
+    durations are largest on the instance's first order."""
 
     instance: str
     rule: str
@@ -238,14 +243,18 @@ def _run_instance(instance_id, election, seeds, spec):
 
     Offline `mes` does not see the order, so it is called and timed once,
     and every `offline-mes` record of the instance carries that committee
-    and that duration. Every online rule call is made and timed per seed. A
-    `functools.cache` of this call evaluates each distinct member set of the
-    instance once, on a `Committee` built from those members, and is dropped
-    when the instance ends.
+    and that duration. Every online rule call is made and timed per seed.
+    Online-mes and online-bos each get one `EngineCache` for the instance,
+    so an order reuses the equal-shares keys its earlier orders solved and
+    the instance's first order pays the most. A `functools.cache` of this
+    call evaluates each distinct member set of the instance once, on a
+    `Committee` built from those members. The caches and the memo are
+    dropped when the instance ends.
     """
     start = time.perf_counter()
     offline, _ = mes(election)
     offline_duration = time.perf_counter() - start
+    caches = {"online-mes": EngineCache(), "online-bos": EngineCache()}
     evaluate = functools.cache(lambda members: _evaluate(election, Committee(members), spec))
     records = []
     for seed in seeds:
@@ -255,7 +264,7 @@ def _run_instance(instance_id, election, seeds, spec):
                 committee, duration = offline, offline_duration
             else:
                 start = time.perf_counter()
-                committee = run_rule(rule_id, election, order)
+                committee = run_rule(rule_id, election, order, cache=caches.get(rule_id))
                 duration = time.perf_counter() - start
             records.append(
                 RunRecord(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,12 +114,13 @@ def _unit_rho(b):
 
 @dataclass
 class _PathLevel:
-    """One round of a winner path: the budgets before the round, the key
-    solved there for each candidate seen so far (None when unelectable), and
-    once a call elects someone here, its round and the budgets after it."""
+    """One round of a winner path: the budgets before the round, the cache's
+    table of keys solved at this round's winner prefix for each candidate
+    seen so far (None when unelectable), and once a call elects someone
+    here, its round and the budgets after it."""
 
     budgets: np.ndarray
-    keys: dict = field(default_factory=dict)
+    keys: dict
     round: MesRound | None = None
     after: np.ndarray | None = None
 
@@ -150,22 +151,28 @@ def _charge(budgets, supporters, u, key):
     return payments, np.maximum(budgets - payments, 0.0)
 
 
-class _EngineCache:
-    """What the engine calls on one election with one engine may share.
+class EngineCache:
+    """What the engine calls on one election with one engine may share, for
+    as long as the caller keeps it: one displacement run, or every arrival
+    order of one election.
 
     `levels` is the winner path, one `_PathLevel` per round (see
-    `_equal_shares_engine`). `pool` maps each column any call has seen to
-    (supporters, their utilities), with None for the utilities of a 0/1
-    column, so that a column's supporter index is built once per cache and
-    its rho solves take the unit kernel. The first call binds the cache to
-    its election and engine; a call with another raises ValueError, since
-    neither the budgets nor the keys carry over.
+    `_equal_shares_engine`). `keys` maps each winner prefix (the ordered
+    tuple of winners elected before a round) to the keys solved at that
+    prefix, by column; a level reads and fills the table of its prefix, so a
+    key outlives the level that solved it. `pool` maps each column any call
+    has seen to (supporters, their utilities), with None for the utilities
+    of a 0/1 column, so that a column's supporter index is built once per
+    cache and its rho solves take the unit kernel. The first call binds the
+    cache to its election and engine; a call with another raises ValueError,
+    since neither the budgets nor the keys carry over.
     """
 
     def __init__(self):
         self.election = None
         self.overspend = None
         self.levels = []
+        self.keys = {}
         self.pool = {}
 
     def bind(self, election, overspend):
@@ -200,22 +207,25 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
     up to k members from `cols` in `Election.ranking` order: descending exact
     column total, ties toward the smaller id.
 
-    `cache`, an `_EngineCache`, lets consecutive calls on one election and
-    engine reuse each other's work; without one, the call gets a fresh cache
-    of its own. Its pool holds each column's supporters and utilities, built
-    the first time any call sees the column; a 0/1 column solves rho with
-    the exact unit kernel `_unit_rho`. Its winner path holds one level per
-    round: the budgets before round r, the key solved there for every
-    candidate seen by any call, and the winner elected there with its
-    `MesRound` and the budgets after. The budgets before round r depend only
-    on the winners of rounds 0..r-1, and a candidate's key only on those
-    budgets and its own column, so a call reads level r as long as its
-    winners agree with the path's, and solves only the keys the level lacks.
-    A reused value is the output of the same computation on the same inputs,
-    hence exact. Where the winner differs, the deeper levels are dropped, so
-    the path holds at most one level per round, k in all. The keys depend on
-    `overspend` and the budgets on the election, so a cache bound to another
-    election or engine raises ValueError.
+    `cache`, an `EngineCache`, lets the calls on one election and engine
+    reuse each other's work, whether they come from one run or from many;
+    without one, the call gets a fresh cache of its own. Its pool holds each
+    column's supporters and utilities, built the first time any call sees
+    the column; a 0/1 column solves rho with the exact unit kernel
+    `_unit_rho`. Its winner path holds one level per round: the budgets
+    before round r, the table of keys solved at the path's winner prefix of
+    rounds 0..r-1, and the winner elected there with its `MesRound` and the
+    budgets after. The budgets before round r start at k/n and are charged
+    by each earlier round's key, so they depend only on that ordered winner
+    prefix, and a candidate's key only on those budgets and its own column.
+    A call therefore reads level r as long as its winners agree with the
+    path's, and solves only the keys its prefix's table lacks. A reused
+    value is the output of the same computation on the same inputs, hence
+    exact. Where the winner differs, the deeper levels are dropped, so the
+    path holds at most one level per round, k in all, but the key tables
+    stay: a later call that reaches a prefix again reads its keys. The keys
+    depend on `overspend` and the budgets on the election, so a cache bound
+    to another election or engine raises ValueError.
 
     Returns (members, MesTrace) in the id space of `cols`.
     """
@@ -224,7 +234,7 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
     if bad:
         raise ValueError(f"candidates must be distinct ids in 0..{m - 1}; offending ids {bad}")
     if cache is None:
-        cache = _EngineCache()
+        cache = EngineCache()
     cache.bind(election, overspend)
     path = cache.levels
     # (candidate, supporters, their utilities or None) in ascending id
@@ -239,7 +249,9 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
         while len(rounds) < k:
             r = len(rounds)
             if r == len(path):
-                path.append(_PathLevel(path[-1].after if path else np.full(n, k / n)))
+                budgets = path[-1].after if path else np.full(n, k / n)
+                prefix = tuple(winner.candidate for winner in rounds)
+                path.append(_PathLevel(budgets, cache.keys.setdefault(prefix, {})))
             level = path[r]
             budgets, keys = level.budgets, level.keys
             best = None  # ((tier, rate), pool index)
@@ -273,11 +285,12 @@ def equal_shares_subset(election, candidates, cache=None):
     `candidates` are distinct ids of the election's candidates; a repeated
     id or one outside 0..m-1 raises ValueError. Columns are taken in
     ascending id order, so index tie-breaking matches the full election.
-    `cache`, an `_EngineCache` the caller keeps between calls on this
-    election with this rule, lets each call reuse the supporter pools built
-    and the rounds solved by earlier ones (see `_equal_shares_engine`); a
-    cache used with another election or with `bounded_overspending_subset`
-    raises ValueError. Returns (members, trace).
+    `cache`, an `EngineCache` the caller keeps between calls on this
+    election with this rule, lets each call reuse the supporter pools built,
+    the rounds on its winner path and the keys solved at each winner prefix
+    by earlier ones (see `_equal_shares_engine`); a cache used with another
+    election or with `bounded_overspending_subset` raises ValueError.
+    Returns (members, trace).
     """
     return _equal_shares_engine(election, sorted(candidates), False, cache)
 

@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from .core import Committee, Decision, check_order, stream
+from .core import Committee, Decision, check_int, check_order, stream
 from .rules_offline import (
+    EngineCache,
     _charge,
-    _EngineCache,
     _round_key,
     bounded_overspending_subset,
     equal_shares_subset,
@@ -29,8 +29,9 @@ from .rules_offline import (
 def _exploration_length(m, exploration):
     """Exploration-phase length t of the displacement rules: `exploration`,
     or by default floor(m/e), the length that maximizes the hiring
-    probability of each reference winner. It must lie in [0, m)."""
+    probability of each reference winner. It must be an integer in [0, m)."""
     t = int(m / math.e) if exploration is None else exploration
+    check_int("exploration", t)
     if not 0 <= t < m:
         raise ValueError(f"exploration length must lie in [0, m), got t={t} for m={m}")
     return t
@@ -94,7 +95,7 @@ def greedy_budgeting(election, order):
     return _seat(election, order, decide)
 
 
-def _displacement_rule(election, order, exploration, subset_rule):
+def _displacement_rule(election, order, exploration, subset_rule, cache=None):
     """Exploration-then-displacement scheme shared by the equal-shares and
     bounded-overspending online rules.
 
@@ -109,14 +110,17 @@ def _displacement_rule(election, order, exploration, subset_rule):
     never re-enter the sample.
 
     All subset calls of one run, the reference call included, share one
-    `rules_offline._EngineCache`: its pool builds each column's supporter
-    index once per run, and its winner path caches each round's budgets,
-    solved keys and winner (see `rules_offline._equal_shares_engine`).
+    `rules_offline.EngineCache`: `cache` when given, else a fresh one. Its
+    pool builds each column's supporter index once, its winner path caches
+    each round's budgets and winner, and its key tables keep every key
+    solved at each winner prefix (see `rules_offline._equal_shares_engine`).
     Consecutive calls share all but one column, so each resumes the previous
-    call's rounds while its winners agree and solves only the keys not yet
-    seen. Reuse is exact: a cached value is the output of the same
-    computation on the same inputs. A cache belongs to one election and one
-    subset rule, so it lives for one run.
+    call's rounds while its winners agree and solves only the keys its
+    prefix has not seen. Reuse is exact: a cached value is the output of the
+    same computation on the same inputs. A cache belongs to one election and
+    one subset rule, but may outlive one run: a caller that runs many orders
+    of an election passes the same cache to each, and a later order reads
+    the keys the earlier ones solved.
     """
     m = election.num_candidates
     k = election.committee_size
@@ -124,7 +128,8 @@ def _displacement_rule(election, order, exploration, subset_rule):
     arrivals = order.permutation
     placeholders = frozenset(range(m, m + k - t))
     reference = running = None
-    cache = _EngineCache()
+    if cache is None:
+        cache = EngineCache()
 
     def snapshot():
         return tuple(sorted(running)) if running is not None else None
@@ -167,17 +172,20 @@ def winners_memo(subset_rule):
     return lambda election, order: _displacement_rule(election, order, None, memoised)
 
 
-def online_mes(election, order, exploration=None):
+def online_mes(election, order, exploration=None, cache=None):
     """Online method of equal shares: displacement against an equal-shares
     reference committee built from the first `exploration` arrivals
-    (default floor(m/e))."""
-    return _displacement_rule(election, order, exploration, equal_shares_subset)
+    (default floor(m/e)). `cache`, an `EngineCache` of this election, may be
+    shared by the runs of many orders, which then reuse each other's solved
+    keys; without one, the run keeps a cache of its own."""
+    return _displacement_rule(election, order, exploration, equal_shares_subset, cache)
 
 
-def online_bos(election, order, exploration=None):
+def online_bos(election, order, exploration=None, cache=None):
     """Online bounded overspending: the displacement scheme with the
-    overspending-capable subroutine for both reference and comparisons."""
-    return _displacement_rule(election, order, exploration, bounded_overspending_subset)
+    overspending-capable subroutine for both reference and comparisons.
+    `cache` is as for `online_mes`, but may not serve both rules."""
+    return _displacement_rule(election, order, exploration, bounded_overspending_subset, cache)
 
 
 def online_nash(election, order):
@@ -236,18 +244,23 @@ def online_nash(election, order):
     return Committee(frozenset(members), tuple(audit))
 
 
-def run_rule(rule_id, election, order, exploration=None):
+def run_rule(rule_id, election, order, exploration=None, cache=None):
     """Dispatch an online rule by id: greedy, online-mes, online-bos, online-nash.
-    `exploration` is passed to online-mes and online-bos; the other rules
-    have no exploration phase and raise ValueError when it is given."""
-    if exploration is not None and rule_id in ("greedy", "online-nash"):
-        raise ValueError(f"{rule_id} has no exploration phase")
+    `exploration` and `cache` (an `EngineCache` whose keys, kept by winner
+    prefix, may outlive this run) are passed to online-mes and online-bos;
+    the other rules have no exploration phase and no engine calls, and raise
+    ValueError when either is given."""
+    if rule_id in ("greedy", "online-nash"):
+        if exploration is not None:
+            raise ValueError(f"{rule_id} has no exploration phase")
+        if cache is not None:
+            raise ValueError(f"{rule_id} makes no engine calls to cache")
     if rule_id == "greedy":
         return greedy_budgeting(election, order)
     if rule_id == "online-mes":
-        return online_mes(election, order, exploration)
+        return online_mes(election, order, exploration, cache)
     if rule_id == "online-bos":
-        return online_bos(election, order, exploration)
+        return online_bos(election, order, exploration, cache)
     if rule_id == "online-nash":
         return online_nash(election, order)
     raise ValueError(f"unknown online rule: {rule_id!r}")

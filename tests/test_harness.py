@@ -385,6 +385,34 @@ class TestEvaluationMemo:
         assert without_durations(records) == expected
         assert all(r.duration > 0.0 for r in records)
 
+    def test_one_engine_cache_per_instance_and_rule(self, monkeypatch):
+        """Every order of an instance hands online-mes one cache and
+        online-bos another, bound to that instance's election; no cache
+        serves two instances, and the other rules get none."""
+        calls = []
+
+        def recording(rule_id, election, order, exploration=None, cache=None):
+            calls.append((election, rule_id, cache))
+            return run_rule(rule_id, election, order, exploration, cache)
+
+        monkeypatch.setattr(harness, "run_rule", recording)
+        run_experiment(ExperimentConfig("exp4", instances=3, iterations=4))
+        given = {}
+        for election, rule_id, cache in calls:
+            given.setdefault((id(election), rule_id), []).append(cache)
+        assert len(given) == 3 * len(ONLINE_RULE_IDS)
+        shared = []
+        for (election_id, rule_id), caches in given.items():
+            assert len(caches) == 4
+            if rule_id in ("online-mes", "online-bos"):
+                assert all(cache is caches[0] for cache in caches)
+                assert id(caches[0].election) == election_id
+                assert caches[0].overspend == (rule_id == "online-bos")
+                shared.append(caches[0])
+            else:
+                assert caches == [None] * 4
+        assert len({id(cache) for cache in shared}) == 3 * 2
+
     @given(culture=st.sampled_from(CULTURES), seed=st.integers(0, 2**32))
     @settings(max_examples=15, deadline=None)
     def test_cell_records_equal_fresh_evaluations(self, culture, seed):

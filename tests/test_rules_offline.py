@@ -2,6 +2,7 @@ import math
 import struct
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from streamelect import (
     seeded_rng,
     utilitarian_topk,
 )
-from streamelect.rules_offline import PAY_EPS, _charge, _EngineCache, _rho, _unit_rho
+from streamelect import rules_offline
+from streamelect.rules_offline import PAY_EPS, EngineCache, _charge, _rho, _unit_rho
 
 from conftest import random_approval_election, random_cardinal_election, showcase_election
 
@@ -521,10 +523,15 @@ class TestSharedPath:
     @settings(max_examples=300, deadline=None)
     def test_replay_matches_fresh_calls(self, replay, rule):
         e, calls = replay
-        cache = _EngineCache()
+        cache = EngineCache()
         entries = {}
+        solved = 0
         for subset in calls:
-            members, trace = rule(e, subset, cache)
+            with mock.patch.object(
+                rules_offline, "_round_key", wraps=rules_offline._round_key
+            ) as round_key:
+                members, trace = rule(e, subset, cache)
+            solved += round_key.call_count
             fresh_members, fresh_trace = rule(e, subset)
             assert members == fresh_members
             assert trace.completion_added == fresh_trace.completion_added
@@ -535,6 +542,9 @@ class TestSharedPath:
             # A column's pool entry is built once and kept for the cache's life.
             for c in subset:
                 assert cache.pool[c] is entries.setdefault(c, cache.pool[c])
+        # Each key is solved once per winner prefix and column, and kept
+        # when the path drops the level that solved it.
+        assert solved == sum(map(len, cache.keys.values()))
         assert set(cache.pool) == set(entries)
         for c, (supporters, u) in cache.pool.items():
             column = e.utilities[:, c]
@@ -549,7 +559,7 @@ class TestSharedPath:
         ],
     )
     def test_cache_serves_one_election_and_one_engine(self, showcase, rule, other_rule):
-        cache = _EngineCache()
+        cache = EngineCache()
         rule(showcase, (0, 1, 2, 3), cache)
         with pytest.raises(ValueError, match="one election and one engine"):
             other_rule(showcase, (0, 1, 2, 3), cache)

@@ -13,6 +13,7 @@ from streamelect import (
     Committee,
     Decision,
     Election,
+    EngineCache,
     SampleSpec,
     bos,
     check_jr,
@@ -58,10 +59,21 @@ class TestConfig:
             _exploration_length(10, -1)
         with pytest.raises(ValueError):
             _exploration_length(10, 10)
+        # A bool or a float is refused by name, integral or not.
+        for exploration in (True, 2.0, 2.5):
+            with pytest.raises(ValueError, match="exploration must be an integer"):
+                _exploration_length(10, exploration)
+            with pytest.raises(ValueError, match="exploration must be an integer"):
+                online_mes(showcase_election(), IDENTITY6, exploration)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             run_rule("offline-mes", showcase_election(), IDENTITY6)
+
+    @pytest.mark.parametrize("rule_id", ["greedy", "online-nash"])
+    def test_refuses_a_cache_without_engine_calls(self, rule_id):
+        with pytest.raises(ValueError, match=f"{rule_id} makes no engine calls"):
+            run_rule(rule_id, showcase_election(), IDENTITY6, cache=EngineCache())
 
 
 class TestGreedy:
@@ -229,22 +241,27 @@ class TestSharedPathAudits:
         for index in range(60):
             sampler = random_approval_election if index % 2 else random_cardinal_election
             e = sampler(rng, max_voters=12, max_candidates=14, max_k=5)
-            order = random_order(e.num_candidates, int(rng.integers(0, 10_000)))
-            # Every third run explores fewer than k arrivals, so the
+            # Every third election explores fewer than k arrivals, so the
             # reference leaves seats open.
             t = int(rng.integers(0, e.committee_size)) if index % 3 == 0 else None
-            caches.clear()
-            committee = rule(e, order, t)
-            t = _exploration_length(e.num_candidates, t)
-            assert (committee.members, committee.audit) == fresh_displacement(
-                e, order, subset_rule, t
-            )
-            # Every subset call of the run shares one cache of at most k levels.
-            assert len({id(cache) for cache in caches}) <= 1
-            assert all(len(cache.levels) <= e.committee_size for cache in caches)
-            assert all(cache.election is e for cache in caches)
-            runs_with_calls += bool(caches)
-        assert runs_with_calls > 30
+            # The first order runs on a cache of its own; the next 20 share
+            # one, as the orders of a harness instance do.
+            shared = EngineCache()
+            for given in [None] + [shared] * 20:
+                order = random_order(e.num_candidates, int(rng.integers(0, 10_000)))
+                caches.clear()
+                committee = rule(e, order, t, given)
+                assert (committee.members, committee.audit) == fresh_displacement(
+                    e, order, subset_rule, _exploration_length(e.num_candidates, t)
+                )
+                # Every subset call of the run shares one cache of at most k
+                # levels: the one given, if any.
+                assert len({id(cache) for cache in caches}) <= 1
+                assert given is None or all(cache is given for cache in caches)
+                assert all(len(cache.levels) <= e.committee_size for cache in caches)
+                assert all(cache.election is e for cache in caches)
+                runs_with_calls += bool(caches)
+        assert runs_with_calls > 30 * 21
 
 
 class TestOnlineNash:
