@@ -13,7 +13,9 @@ one `functools.cache` per instance keyed by member set, each distinct
 committee's evaluation there, its Nash ratio in `verify_thm_nash`, and each
 candidate set's winners in `verify_thm_mes` (inside `winners_memo`). In
 `run_experiment`, online-mes and online-bos each keep one `EngineCache` per
-instance, so each equal-shares key is solved once per instance.
+instance, so each equal-shares key is solved once per instance, and in
+`verify_thm_nash` online-nash keeps one, so each pick prefix's gains are
+scored once per instance.
 """
 
 from __future__ import annotations
@@ -246,10 +248,11 @@ def _run_instance(instance_id, election, seeds, spec):
     and that duration. Every online rule call is made and timed per seed.
     Online-mes and online-bos each get one `EngineCache` for the instance,
     so an order reuses the equal-shares keys its earlier orders solved and
-    the instance's first order pays the most. A `functools.cache` of this
-    call evaluates each distinct member set of the instance once, on a
-    `Committee` built from those members. The caches and the memo are
-    dropped when the instance ends.
+    the instance's first order pays the most. Online-nash gets none: an
+    experiment runs few orders of an instance, so its pick prefixes rarely
+    recur. A `functools.cache` of this call evaluates each distinct member
+    set of the instance once, on a `Committee` built from those members.
+    The caches and the memo are dropped when the instance ends.
     """
     start = time.perf_counter()
     offline, _ = mes(election)
@@ -642,7 +645,8 @@ def verify_thm_nash(cfg):
     welfares exp(nash(online) - nash(opt)), the product-of-(1+u) form, which
     stays scale-meaningful near zero. An instance has at most C(m, k)
     committees, so a `functools.cache` per instance computes each distinct
-    member set's ratio once.
+    member set's ratio once. Each instance's orders share one `EngineCache`,
+    so online-nash scores the gains of each pick prefix once per instance.
     """
     bound = (1.0 - 1.0 / math.e) / 7.0
     instance_means = []
@@ -650,10 +654,11 @@ def verify_thm_nash(cfg):
     for instance_id, election, _ in _instances(cfg, []):
         _, optimum = nash_optimum_bruteforce(election)
         ratio = functools.cache(lambda members: math.exp(nash_welfare(election, members) - optimum))
+        cache = EngineCache()
         ratios = []
         for seed in _seeds(cfg, instance_id, election, cfg.orders):
             order = random_order(election.num_candidates, seed)
-            ratios.append(ratio(run_rule("online-nash", election, order).members))
+            ratios.append(ratio(run_rule("online-nash", election, order, cache=cache).members))
         instance_means.append(_mean(ratios))
         ratios_all.extend(ratios)
     mean_ratio = _mean(ratios_all)

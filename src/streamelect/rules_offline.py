@@ -152,34 +152,36 @@ def _charge(budgets, supporters, u, key):
 
 
 class EngineCache:
-    """What the engine calls on one election with one engine may share, for
-    as long as the caller keeps it: one displacement run, or every arrival
-    order of one election.
+    """What the calls of one rule on one election may share, for as long as
+    the caller keeps it: one run, or every arrival order of one election.
 
-    `levels` is the winner path, one `_PathLevel` per round (see
-    `_equal_shares_engine`). `keys` maps each winner prefix (the ordered
-    tuple of winners elected before a round) to the keys solved at that
-    prefix, by column; a level reads and fills the table of its prefix, so a
-    key outlives the level that solved it. `pool` maps each column any call
-    has seen to (supporters, their utilities), with None for the utilities
-    of a 0/1 column, so that a column's supporter index is built once per
-    cache and its rho solves take the unit kernel. The first call binds the
-    cache to its election and engine; a call with another raises ValueError,
-    since neither the budgets nor the keys carry over.
+    `keys` maps each winner prefix (the ordered tuple of candidates picked
+    so far) to the values solved at that prefix, by column: for the
+    equal-shares engine, the round keys (see `_equal_shares_engine`), where
+    a level of the winner path reads and fills the table of its prefix, so
+    a key outlives the level that solved it; for `rules_online.online_nash`,
+    the Nash-welfare gains of a segment. `levels` is the engine's winner
+    path, one `_PathLevel` per round. `pool` maps each column any engine
+    call has seen to (supporters, their utilities), with None for the
+    utilities of a 0/1 column, so that a column's supporter index is built
+    once per cache and its rho solves take the unit kernel. The first call
+    binds the cache to its election and `rule` ("equal-shares",
+    "bounded-overspending" or "online-nash"); a call with another raises
+    ValueError, since the values solved for one carry over to no other.
     """
 
     def __init__(self):
         self.election = None
-        self.overspend = None
+        self.rule = None
         self.levels = []
         self.keys = {}
         self.pool = {}
 
-    def bind(self, election, overspend):
+    def bind(self, election, rule):
         if self.election is None:
-            self.election, self.overspend = election, overspend
-        elif self.election is not election or self.overspend != overspend:
-            raise ValueError("an engine cache serves one election and one engine")
+            self.election, self.rule = election, rule
+        elif self.election is not election or self.rule != rule:
+            raise ValueError("a cache serves one election and one rule")
 
     def column(self, c):
         """The pool entry of column `c`, built on first sight."""
@@ -225,7 +227,7 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
     path holds at most one level per round, k in all, but the key tables
     stay: a later call that reaches a prefix again reads its keys. The keys
     depend on `overspend` and the budgets on the election, so a cache bound
-    to another election or engine raises ValueError.
+    to another election, engine or rule raises ValueError.
 
     Returns (members, MesTrace) in the id space of `cols`.
     """
@@ -235,7 +237,7 @@ def _equal_shares_engine(election, cols, overspend, cache=None):
         raise ValueError(f"candidates must be distinct ids in 0..{m - 1}; offending ids {bad}")
     if cache is None:
         cache = EngineCache()
-    cache.bind(election, overspend)
+    cache.bind(election, "bounded-overspending" if overspend else "equal-shares")
     path = cache.levels
     # (candidate, supporters, their utilities or None) in ascending id
     # order, so that ties keep the smaller id.

@@ -95,7 +95,7 @@ def greedy_budgeting(election, order):
     return _seat(election, order, decide)
 
 
-def _displacement_rule(election, order, exploration, subset_rule, cache=None):
+def _displacement_rule(election, order, exploration, subset_rule, cache):
     """Exploration-then-displacement scheme shared by the equal-shares and
     bounded-overspending online rules.
 
@@ -109,11 +109,12 @@ def _displacement_rule(election, order, exploration, subset_rule, cache=None):
     candidate still belonged to the reference committee. Hired candidates
     never re-enter the sample.
 
-    All subset calls of one run, the reference call included, share one
-    `rules_offline.EngineCache`: `cache` when given, else a fresh one. Its
-    pool builds each column's supporter index once, its winner path caches
-    each round's budgets and winner, and its key tables keep every key
-    solved at each winner prefix (see `rules_offline._equal_shares_engine`).
+    All subset calls of one run, the reference call included, are passed
+    `cache`, a `rules_offline.EngineCache` (None for a subset rule that keeps
+    no engine state, as `winners_memo`'s does). Its pool builds each
+    column's supporter index once, its winner path caches each round's
+    budgets and winner, and its key tables keep every key solved at each
+    winner prefix (see `rules_offline._equal_shares_engine`).
     Consecutive calls share all but one column, so each resumes the previous
     call's rounds while its winners agree and solves only the keys its
     prefix has not seen. Reuse is exact: a cached value is the output of the
@@ -128,8 +129,6 @@ def _displacement_rule(election, order, exploration, subset_rule, cache=None):
     arrivals = order.permutation
     placeholders = frozenset(range(m, m + k - t))
     reference = running = None
-    if cache is None:
-        cache = EngineCache()
 
     def snapshot():
         return tuple(sorted(running)) if running is not None else None
@@ -163,13 +162,13 @@ def winners_memo(subset_rule):
     as the returned rule: each (election, candidate set) is solved once, and
     only its winners are kept. The subset rules sort their candidates, so the
     set decides the winners. No payments or engine rounds are kept, so no
-    rounds are shared between calls."""
+    rounds are shared between calls, and no `EngineCache` is built."""
     winners = functools.cache(lambda election, key: subset_rule(election, key)[0])
 
     def memoised(election, candidates, _cache):
         return winners(election, frozenset(candidates)), None
 
-    return lambda election, order: _displacement_rule(election, order, None, memoised)
+    return lambda election, order: _displacement_rule(election, order, None, memoised, None)
 
 
 def online_mes(election, order, exploration=None, cache=None):
@@ -178,6 +177,8 @@ def online_mes(election, order, exploration=None, cache=None):
     (default floor(m/e)). `cache`, an `EngineCache` of this election, may be
     shared by the runs of many orders, which then reuse each other's solved
     keys; without one, the run keeps a cache of its own."""
+    if cache is None:
+        cache = EngineCache()
     return _displacement_rule(election, order, exploration, equal_shares_subset, cache)
 
 
@@ -185,10 +186,23 @@ def online_bos(election, order, exploration=None, cache=None):
     """Online bounded overspending: the displacement scheme with the
     overspending-capable subroutine for both reference and comparisons.
     `cache` is as for `online_mes`, but may not serve both rules."""
+    if cache is None:
+        cache = EngineCache()
     return _displacement_rule(election, order, exploration, bounded_overspending_subset, cache)
 
 
-def online_nash(election, order):
+def _nash_gains(columns, ids, picked_sat):
+    """The Nash-welfare gain `np.log1p(picked_sat + column).sum()` of each
+    candidate in the list `ids`, as floats. They are scored together, in one
+    C-contiguous (len(ids), n) block whose rows each sum the same n values
+    in the same order as that per-candidate sum, so every gain has its bits
+    whichever other candidates share the block."""
+    block = columns[ids]
+    np.add(block, picked_sat, out=block)
+    return np.log1p(block, out=block).sum(axis=1).tolist()
+
+
+def online_nash(election, order, cache=None):
     """One hire per near-equal contiguous segment, by Nash-welfare gain.
 
     The stream is split into k contiguous segments with sizes as equal as
@@ -198,29 +212,47 @@ def online_nash(election, order):
     candidate reaching the threshold is hired, or failing that, the last
     candidate of the segment.
 
-    A segment's gains are scored together, in one (size, n) buffer whose
-    rows each sum the same n values in the same order as a per-arrival
-    `np.log1p(picked_sat + column).sum()`. The scoring depends only on the
-    earlier segments' picks, and each decision reads only the gains up to
-    its own position: the threshold from the observed arrivals, then its own
-    gain.
+    A segment's gains depend only on the earlier segments' picks, in pick
+    order, and each decision reads only the gains up to its own position:
+    the threshold from the observed arrivals, then its own gain. Without
+    `cache`, each segment's arrivals are scored by `_nash_gains` against a
+    running `picked_sat`. `cache`, an `EngineCache` of this election, lets
+    the runs of many orders share a table of gains per pick prefix: the
+    first run to reach a prefix scores every candidate outside it, against
+    the prefix's columns added from zeros in pick order (the additions of
+    the running `picked_sat`), and later runs read the table. Either way a
+    gain has the same bits, so the committee and audit do not depend on the
+    cache. A cache bound to another election or rule raises ValueError.
     """
     n = election.num_voters
     m = election.num_candidates
     k = election.committee_size
     check_order(election, order)
+    if cache is not None:
+        cache.bind(election, "online-nash")
     base, extra = divmod(m, k)
     sizes = [base + 1] * extra + [base] * (k - extra)
-    columns = election.utilities.T
+    utilities = election.utilities
+    columns = utilities.T
     members = []
     audit = []
-    picked_sat = np.zeros(n)
+    picked_sat = np.zeros(n) if cache is None else None
     start = 0
     for size in sizes:
         ids = order.permutation[start : start + size]
-        block = columns[list(ids)]
-        np.add(block, picked_sat, out=block)
-        gains = np.log1p(block, out=block).sum(axis=1).tolist()
+        if cache is None:
+            gains = _nash_gains(columns, list(ids), picked_sat)
+        else:
+            prefix = tuple(members)
+            table = cache.keys.get(prefix)
+            if table is None:
+                prefix_sat = np.zeros(n)
+                for c in prefix:
+                    prefix_sat += utilities[:, c]
+                others = [c for c in range(m) if c not in prefix]
+                scored = _nash_gains(columns, others, prefix_sat)
+                table = cache.keys[prefix] = dict(zip(others, scored))
+            gains = [table[c] for c in ids]
         observe = int(size / math.e)
         threshold = max(gains[:observe], default=-math.inf)
         picked = None
@@ -239,30 +271,31 @@ def online_nash(election, order):
             else:
                 audit.append(Decision(position, c, False, "below-threshold"))
         members.append(picked)
-        picked_sat += election.utilities[:, picked]
+        if cache is None:
+            picked_sat += utilities[:, picked]
         start += size
     return Committee(frozenset(members), tuple(audit))
 
 
 def run_rule(rule_id, election, order, exploration=None, cache=None):
     """Dispatch an online rule by id: greedy, online-mes, online-bos, online-nash.
-    `exploration` and `cache` (an `EngineCache` whose keys, kept by winner
-    prefix, may outlive this run) are passed to online-mes and online-bos;
-    the other rules have no exploration phase and no engine calls, and raise
-    ValueError when either is given."""
-    if rule_id in ("greedy", "online-nash"):
-        if exploration is not None:
-            raise ValueError(f"{rule_id} has no exploration phase")
-        if cache is not None:
-            raise ValueError(f"{rule_id} makes no engine calls to cache")
+    `exploration` is passed to online-mes and online-bos; greedy and
+    online-nash have no exploration phase and raise ValueError when it is
+    given. `cache`, an `EngineCache` whose values, kept by pick prefix, may
+    outlive this run, is passed to online-mes, online-bos and online-nash;
+    greedy makes no calls to cache and raises ValueError when it is given."""
+    if rule_id in ("greedy", "online-nash") and exploration is not None:
+        raise ValueError(f"{rule_id} has no exploration phase")
     if rule_id == "greedy":
+        if cache is not None:
+            raise ValueError("greedy makes no engine calls to cache")
         return greedy_budgeting(election, order)
     if rule_id == "online-mes":
         return online_mes(election, order, exploration, cache)
     if rule_id == "online-bos":
         return online_bos(election, order, exploration, cache)
     if rule_id == "online-nash":
-        return online_nash(election, order)
+        return online_nash(election, order, cache)
     raise ValueError(f"unknown online rule: {rule_id!r}")
 
 

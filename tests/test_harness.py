@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from streamelect import (
     CULTURES,
     Election,
+    EngineCache,
     ExperimentConfig,
     MetricBundle,
     RunRecord,
@@ -407,7 +408,8 @@ class TestEvaluationMemo:
             if rule_id in ("online-mes", "online-bos"):
                 assert all(cache is caches[0] for cache in caches)
                 assert id(caches[0].election) == election_id
-                assert caches[0].overspend == (rule_id == "online-bos")
+                engine = "bounded-overspending" if rule_id == "online-bos" else "equal-shares"
+                assert caches[0].rule == engine
                 shared.append(caches[0])
             else:
                 assert caches == [None] * 4
@@ -939,6 +941,40 @@ class TestTheoremChecks:
         monkeypatch.setattr(harness, "equal_shares_subset", counted)
         verify_thm_mes(ExperimentConfig("thm-mes", orders=300))
         assert calls and len(calls) == len(set(calls))
+
+    def test_mes_builds_no_engine_cache_per_order(self, monkeypatch):
+        """`winners_memo` keeps only winners, so its runs build no
+        `EngineCache`; the online rules build one only when they run the
+        engine without a caller's cache."""
+        built = []
+
+        class Counted(EngineCache):
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(rules_online, "EngineCache", Counted)
+        verify_thm_mes(ExperimentConfig("thm-mes", orders=200))
+        assert built == []
+        online_mes(single_approval_election(), random_order(40, 0))
+        assert len(built) == 1
+
+    def test_nash_shares_one_cache_per_instance(self, monkeypatch):
+        """Every order of an instance hands online-nash the same cache, bound
+        to that instance's election; no cache serves two instances."""
+        calls = []
+
+        def recording(rule_id, election, order, exploration=None, cache=None):
+            calls.append((election, cache))
+            return run_rule(rule_id, election, order, exploration, cache)
+
+        monkeypatch.setattr(harness, "run_rule", recording)
+        verify_thm_nash(ExperimentConfig("thm-nash", instances=3, orders=20))
+        assert len(calls) == 60
+        caches = [cache for _, cache in calls]
+        assert len({id(cache) for cache in caches}) == 3
+        for election, cache in calls:
+            assert cache.election is election and cache.rule == "online-nash"
 
     @pytest.mark.parametrize("base_seed", [0, 1, 2])
     def test_nash_welfare_memo_matches_fresh_welfare(self, base_seed):

@@ -561,9 +561,9 @@ class TestSharedPath:
     def test_cache_serves_one_election_and_one_engine(self, showcase, rule, other_rule):
         cache = EngineCache()
         rule(showcase, (0, 1, 2, 3), cache)
-        with pytest.raises(ValueError, match="one election and one engine"):
+        with pytest.raises(ValueError, match="one election and one rule"):
             other_rule(showcase, (0, 1, 2, 3), cache)
-        with pytest.raises(ValueError, match="one election and one engine"):
+        with pytest.raises(ValueError, match="one election and one rule"):
             rule(showcase_election(), (0, 1, 2, 3), cache)
         members, _ = rule(showcase, (0, 1, 2, 3), cache)
         assert members == rule(showcase, (0, 1, 2, 3))[0]

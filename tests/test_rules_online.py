@@ -70,7 +70,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             run_rule("offline-mes", showcase_election(), IDENTITY6)
 
-    @pytest.mark.parametrize("rule_id", ["greedy", "online-nash"])
+    @pytest.mark.parametrize("rule_id", ["greedy"])
     def test_refuses_a_cache_without_engine_calls(self, rule_id):
         with pytest.raises(ValueError, match=f"{rule_id} makes no engine calls"):
             run_rule(rule_id, showcase_election(), IDENTITY6, cache=EngineCache())
@@ -366,6 +366,49 @@ def test_online_nash_matches_per_arrival_scoring(instance):
     committee = online_nash(election, order)
     reference = reference_online_nash(election, order)
     assert (committee.members, committee.audit) == (reference.members, reference.audit)
+
+
+@given(tied_nash_instances(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_online_nash_shared_cache_matches_per_arrival_scoring(instance, seed):
+    """Gains read from a cache that earlier orders filled have the bits of
+    fresh ones: 24 orders of each election, all through one cache, elect and
+    audit exactly as per-arrival scoring does."""
+    election, first = instance
+    m = election.num_candidates
+    cache = EngineCache()
+    orders = [first] + [random_order(m, seed + i) for i in range(23)]
+    for order in orders:
+        committee = run_rule("online-nash", election, order, cache=cache)
+        reference = reference_online_nash(election, order)
+        assert (committee.members, committee.audit) == (reference.members, reference.audit)
+    assert all(len(prefix) < election.committee_size for prefix in cache.keys)
+
+
+class TestCacheContract:
+    def test_online_nash_cache_serves_one_election(self, showcase):
+        cache = EngineCache()
+        online_nash(showcase, IDENTITY6, cache)
+        with pytest.raises(ValueError, match="one election and one rule"):
+            online_nash(showcase_election(), IDENTITY6, cache)
+
+    @pytest.mark.parametrize("engine_rule", [online_mes, online_bos])
+    def test_engine_and_nash_caches_do_not_mix(self, showcase, engine_rule):
+        engine_bound = EngineCache()
+        engine_rule(showcase, IDENTITY6, cache=engine_bound)
+        with pytest.raises(ValueError, match="one election and one rule"):
+            online_nash(showcase, IDENTITY6, engine_bound)
+        nash_bound = EngineCache()
+        online_nash(showcase, IDENTITY6, nash_bound)
+        with pytest.raises(ValueError, match="one election and one rule"):
+            engine_rule(showcase, IDENTITY6, cache=nash_bound)
+
+    def test_run_rule_passes_the_cache_to_online_nash(self, showcase):
+        cache = EngineCache()
+        committee = run_rule("online-nash", showcase, IDENTITY6, cache=cache)
+        assert committee == online_nash(showcase, IDENTITY6)
+        assert cache.election is showcase and cache.rule == "online-nash"
+        assert () in cache.keys
 
 
 class TestFeasibilityEverywhere:
