@@ -12,10 +12,9 @@ it is done once per instance: offline `mes` in `run_experiment`, and through
 one `functools.cache` per instance keyed by member set, each distinct
 committee's evaluation there, its Nash ratio in `verify_thm_nash`, and each
 candidate set's winners in `verify_thm_mes` (inside `winners_memo`). In
-`run_experiment`, online-mes and online-bos each keep one `EngineCache` per
-instance, so each equal-shares key is solved once per instance, and in
-`verify_thm_nash` online-nash keeps one, so each pick prefix's gains are
-scored once per instance.
+`run_experiment` and `verify_thm_nash`, each online rule but greedy keeps
+one `EngineCache` per instance, so each equal-shares key and each pick
+prefix's Nash-welfare gain is solved once per instance.
 """
 
 from __future__ import annotations
@@ -246,18 +245,17 @@ def _run_instance(instance_id, election, seeds, spec):
     Offline `mes` does not see the order, so it is called and timed once,
     and every `offline-mes` record of the instance carries that committee
     and that duration. Every online rule call is made and timed per seed.
-    Online-mes and online-bos each get one `EngineCache` for the instance,
-    so an order reuses the equal-shares keys its earlier orders solved and
-    the instance's first order pays the most. Online-nash gets none: an
-    experiment runs few orders of an instance, so its pick prefixes rarely
-    recur. A `functools.cache` of this call evaluates each distinct member
+    Online-mes, online-bos and online-nash each get one `EngineCache` for
+    the instance, so an order reuses the equal-shares keys and Nash-welfare
+    gains its earlier orders solved and the instance's first order pays the
+    most. A `functools.cache` of this call evaluates each distinct member
     set of the instance once, on a `Committee` built from those members.
     The caches and the memo are dropped when the instance ends.
     """
     start = time.perf_counter()
     offline, _ = mes(election)
     offline_duration = time.perf_counter() - start
-    caches = {"online-mes": EngineCache(), "online-bos": EngineCache()}
+    caches = {rule_id: EngineCache() for rule_id in ("online-mes", "online-bos", "online-nash")}
     evaluate = functools.cache(lambda members: _evaluate(election, Committee(members), spec))
     records = []
     for seed in seeds:

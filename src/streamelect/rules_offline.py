@@ -160,14 +160,15 @@ class EngineCache:
     equal-shares engine, the round keys (see `_equal_shares_engine`), where
     a level of the winner path reads and fills the table of its prefix, so
     a key outlives the level that solved it; for `rules_online.online_nash`,
-    the Nash-welfare gains of a segment. `levels` is the engine's winner
-    path, one `_PathLevel` per round. `pool` maps each column any engine
-    call has seen to (supporters, their utilities), with None for the
-    utilities of a 0/1 column, so that a column's supporter index is built
-    once per cache and its rho solves take the unit kernel. The first call
-    binds the cache to its election and `rule` ("equal-shares",
-    "bounded-overspending" or "online-nash"); a call with another raises
-    ValueError, since the values solved for one carry over to no other.
+    the Nash-welfare gains of the arrivals scored after that pick prefix.
+    `levels` is the engine's winner path, one `_PathLevel` per round. `pool`
+    maps each column any engine call has seen to (supporters, their
+    utilities), with None for the utilities of a 0/1 column, so that a
+    column's supporter index is built once per cache and its rho solves
+    take the unit kernel. The first call binds the cache to its election
+    and `rule` ("equal-shares", "bounded-overspending" or "online-nash"); a
+    call with another raises ValueError, since the values solved for one
+    carry over to no other.
     """
 
     def __init__(self):

@@ -191,17 +191,6 @@ def online_bos(election, order, exploration=None, cache=None):
     return _displacement_rule(election, order, exploration, bounded_overspending_subset, cache)
 
 
-def _nash_gains(columns, ids, picked_sat):
-    """The Nash-welfare gain `np.log1p(picked_sat + column).sum()` of each
-    candidate in the list `ids`, as floats. They are scored together, in one
-    C-contiguous (len(ids), n) block whose rows each sum the same n values
-    in the same order as that per-candidate sum, so every gain has its bits
-    whichever other candidates share the block."""
-    block = columns[ids]
-    np.add(block, picked_sat, out=block)
-    return np.log1p(block, out=block).sum(axis=1).tolist()
-
-
 def online_nash(election, order, cache=None):
     """One hire per near-equal contiguous segment, by Nash-welfare gain.
 
@@ -214,15 +203,17 @@ def online_nash(election, order, cache=None):
 
     A segment's gains depend only on the earlier segments' picks, in pick
     order, and each decision reads only the gains up to its own position:
-    the threshold from the observed arrivals, then its own gain. Without
-    `cache`, each segment's arrivals are scored by `_nash_gains` against a
-    running `picked_sat`. `cache`, an `EngineCache` of this election, lets
-    the runs of many orders share a table of gains per pick prefix: the
-    first run to reach a prefix scores every candidate outside it, against
-    the prefix's columns added from zeros in pick order (the additions of
-    the running `picked_sat`), and later runs read the table. Either way a
-    gain has the same bits, so the committee and audit do not depend on the
-    cache. A cache bound to another election or rule raises ValueError.
+    the threshold from the observed arrivals, then its own gain. The gains
+    are kept in a table per pick prefix, and a segment scores the arrivals
+    its table lacks together, in one (len, n) buffer against a running
+    `picked_sat`. Each row sums the same n values in the same order as a
+    per-arrival `np.log1p(picked_sat + column).sum()`, so a gain has its
+    bits whichever other arrivals share the buffer. Without `cache` the
+    table lives for one segment. `cache`, an `EngineCache` of this election,
+    keeps the tables in its `keys`, so the runs of many orders share them
+    and a prefix's gain of a candidate is scored once; the committee and
+    audit do not depend on the cache. A cache bound to another election or
+    rule raises ValueError.
     """
     n = election.num_voters
     m = election.num_candidates
@@ -232,27 +223,20 @@ def online_nash(election, order, cache=None):
         cache.bind(election, "online-nash")
     base, extra = divmod(m, k)
     sizes = [base + 1] * extra + [base] * (k - extra)
-    utilities = election.utilities
-    columns = utilities.T
+    columns = election.utilities.T
     members = []
     audit = []
-    picked_sat = np.zeros(n) if cache is None else None
+    picked_sat = np.zeros(n)
     start = 0
     for size in sizes:
         ids = order.permutation[start : start + size]
-        if cache is None:
-            gains = _nash_gains(columns, list(ids), picked_sat)
-        else:
-            prefix = tuple(members)
-            table = cache.keys.get(prefix)
-            if table is None:
-                prefix_sat = np.zeros(n)
-                for c in prefix:
-                    prefix_sat += utilities[:, c]
-                others = [c for c in range(m) if c not in prefix]
-                scored = _nash_gains(columns, others, prefix_sat)
-                table = cache.keys[prefix] = dict(zip(others, scored))
-            gains = [table[c] for c in ids]
+        table = {} if cache is None else cache.keys.setdefault(tuple(members), {})
+        missing = [c for c in ids if c not in table]
+        if missing:
+            block = columns[missing]
+            np.add(block, picked_sat, out=block)
+            table.update(zip(missing, np.log1p(block, out=block).sum(axis=1).tolist()))
+        gains = [table[c] for c in ids]
         observe = int(size / math.e)
         threshold = max(gains[:observe], default=-math.inf)
         picked = None
@@ -271,8 +255,7 @@ def online_nash(election, order, cache=None):
             else:
                 audit.append(Decision(position, c, False, "below-threshold"))
         members.append(picked)
-        if cache is None:
-            picked_sat += utilities[:, picked]
+        picked_sat += election.utilities[:, picked]
         start += size
     return Committee(frozenset(members), tuple(audit))
 

@@ -387,9 +387,9 @@ class TestEvaluationMemo:
         assert all(r.duration > 0.0 for r in records)
 
     def test_one_engine_cache_per_instance_and_rule(self, monkeypatch):
-        """Every order of an instance hands online-mes one cache and
-        online-bos another, bound to that instance's election; no cache
-        serves two instances, and the other rules get none."""
+        """Every order of an instance hands online-mes, online-bos and
+        online-nash one cache each, bound to that instance's election and
+        that rule; no cache serves two instances, and greedy gets none."""
         calls = []
 
         def recording(rule_id, election, order, exploration=None, cache=None):
@@ -402,18 +402,22 @@ class TestEvaluationMemo:
         for election, rule_id, cache in calls:
             given.setdefault((id(election), rule_id), []).append(cache)
         assert len(given) == 3 * len(ONLINE_RULE_IDS)
+        served = {
+            "online-mes": "equal-shares",
+            "online-bos": "bounded-overspending",
+            "online-nash": "online-nash",
+        }
         shared = []
         for (election_id, rule_id), caches in given.items():
             assert len(caches) == 4
-            if rule_id in ("online-mes", "online-bos"):
+            if rule_id == "greedy":
+                assert caches == [None] * 4
+            else:
                 assert all(cache is caches[0] for cache in caches)
                 assert id(caches[0].election) == election_id
-                engine = "bounded-overspending" if rule_id == "online-bos" else "equal-shares"
-                assert caches[0].rule == engine
+                assert caches[0].rule == served[rule_id]
                 shared.append(caches[0])
-            else:
-                assert caches == [None] * 4
-        assert len({id(cache) for cache in shared}) == 3 * 2
+        assert len({id(cache) for cache in shared}) == 3 * 3
 
     @given(culture=st.sampled_from(CULTURES), seed=st.integers(0, 2**32))
     @settings(max_examples=15, deadline=None)
