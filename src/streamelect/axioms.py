@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrivalOrder, Election, InstanceTooLargeError, members_of, satisfaction
+from .core import (
+    ArrivalOrder,
+    Election,
+    InstanceTooLargeError,
+    check_int,
+    members_of,
+    satisfaction,
+)
 
 BRUTE_FORCE_VOTER_CAP = 15
 
@@ -208,8 +215,10 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
         raise ValueError("give at most one of beta, gamma, delta")
     if beta is not None and not beta >= 1:
         raise ValueError(f"beta must be at least 1, got {beta}")
-    if gamma is not None and (int(gamma) != gamma or gamma < 0):
-        raise ValueError(f"gamma must be a non-negative integer, got {gamma}")
+    if gamma is not None:
+        check_int("gamma", gamma)
+        if gamma < 0:
+            raise ValueError(f"gamma must be a non-negative integer, got {gamma}")
     if delta is not None and not 0 < delta <= election.committee_size:
         raise ValueError(f"delta must lie in (0, k], got {delta}")
     n, m, k = election.num_voters, election.num_candidates, election.committee_size
@@ -225,7 +234,7 @@ def check_ejr_bruteforce(election, committee, *, beta=None, gamma=None, delta=No
         members = members_of(committee)
         outside = [c for c in range(m) if c not in members]
         topped = np.sort(utilities[:, outside], axis=1)[:, ::-1]
-        achieved = achieved + topped[:, : int(gamma)].sum(axis=1)
+        achieved = achieved + topped[:, :gamma].sum(axis=1)
     divisor = beta if beta is not None else 1.0
     # Largest admissible |T| for a group of each size.
     if delta is not None:

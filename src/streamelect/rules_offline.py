@@ -65,21 +65,34 @@ def _rho(b, u):
     budget is within PAY_EPS below 1 and everyone pays their all, at
     rho = max b_i/u_i.
 
-    Every rho_j is computed at once, yet each is bit-identical to a walk over
-    the voters one at a time: the stable argsort orders ties by voter index as
-    Python's stable `sorted` does on the same float64 keys; `paid` is a
-    sequential `cumsum` and `rest` a sequential `np.subtract.accumulate` from
-    `uo.sum()`, the pairwise sum over the same contiguous array, so every
-    partial sum is formed by the same operations in the same order. Entries
-    past the answer, which a walk never reaches, may divide by a `rest` that
-    rounded to zero or below; hence the caller's `np.errstate`.
+    Ties go by voter index, as Python's stable `sorted` orders the same
+    float64 keys. numpy's fast default argsort may place equal keys in any
+    order, so if it leaves two equal neighbours, the ratios' dense ranks are
+    sorted again stably: the order cannot depend on numpy's kernel. rho_0 =
+    1 / `uo.sum()` is returned when it fits (about half the solves); else
+    every rho_j is computed at once, `paid` as a sequential `cumsum` and
+    `rest` by `np.subtract.accumulate` from that pairwise sum, so each is
+    bit-identical to a walk over the voters one at a time. Entries past the
+    answer may divide by a `rest` that rounded to zero or below; hence the
+    caller's `np.errstate`.
     """
     ratio = b / u
-    order = ratio.argsort(kind="stable")
+    order = ratio.argsort()
+    ro = ratio[order]
+    ties = ro[1:] == ro[:-1]
+    if ties.any():
+        rank = np.empty(ratio.size, np.min_scalar_type(ratio.size))
+        rank[order[0]] = 0
+        rank[order[1:]] = (~ties).cumsum()
+        order = rank.argsort(kind="stable")
     bo = b[order]
     uo = u[order]
+    total = uo.sum()
+    rho0 = 1.0 / total
+    if rho0 * uo[0] <= bo[0]:
+        return float(rho0)
     paid = np.concatenate(([0.0], bo[:-1])).cumsum()
-    rest = np.subtract.accumulate(np.concatenate(([uo.sum()], uo[:-1])))
+    rest = np.subtract.accumulate(np.concatenate(([total], uo[:-1])))
     rhos = (1.0 - paid) / rest
     fits = rhos * uo <= bo
     j = fits.argmax()

@@ -259,10 +259,15 @@ class TestEjrBruteforce:
             {"delta": 0.0},
             {"delta": 9.0},
             {"beta": 1.0, "gamma": 0},
+            {"gamma": 1.0},
+            {"gamma": float("inf")},
+            {"gamma": float("nan")},
+            {"gamma": True},
         ],
     )
     def test_parameter_validation(self, showcase, kwargs):
-        with pytest.raises(ValueError):
+        # The message names the first setting given.
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             check_ejr_bruteforce(showcase, Committee(frozenset({2, 3, 5})), **kwargs)
 
     def test_voter_cap(self):

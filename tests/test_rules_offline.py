@@ -93,6 +93,51 @@ def rho_instances(draw):
     return budgets * (scale / total), column, supporters
 
 
+@st.composite
+def large_rho_pools(draw):
+    """(budgets, utilities) of 1 to 1,500 supporters, sizes at which numpy's
+    default argsort runs its SIMD kernel. Up to 40 drawn (ratio, utility)
+    pairs, zero ratios of both signs among them, are repeated to the drawn
+    size and shuffled, and each supporter's utility is scaled by its own
+    power of two, with the budget set to ratio * utility. Scaling by a power
+    of two is exact, so the supporters of a pair tie exactly on b/u while
+    their budgets differ, as (0.1, 1) and (0.2, 2) do, and the order of a
+    tie decides the bits of the walk's partial sums. The budgets are
+    rescaled, which keeps ties, to total at least 1 or to lie in
+    [1 - PAY_EPS, 1), where the solve falls back to the largest ratio."""
+    ratio = st.one_of(st.sampled_from([0.0, -0.0, 0.05, 0.1, 0.25]), st.floats(1e-6, 1.0))
+    pairs = draw(st.lists(st.tuples(ratio, st.floats(1e-3, 10.0)), min_size=1, max_size=40))
+    size = draw(st.integers(1, 1500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r, scale = np.resize(np.array(pairs), (size, 2))[rng.permutation(size)].T
+    u = scale * 2.0 ** rng.integers(-1, 3, size)
+    b = r * u
+    total = b.sum()
+    assume(total > 0.0)
+    below_one = st.sampled_from([1 - 1e-12, 1 - 1e-10, 1 - PAY_EPS / 2])
+    b = b * (draw(st.one_of(st.floats(1.0, 4.0), below_one)) / total)
+    assume(b.sum() >= 1.0 - PAY_EPS)
+    return b, u
+
+
+def scaled_pool(b, u, budget):
+    """The pool (b, u) with its budgets rescaled to total `budget`."""
+    return b * (budget / b.sum()), u
+
+
+# Every ratio is 0.002, above the first segment's 1 / 1,500.
+FIRST_SEGMENT_FITS = scaled_pool(np.tile([0.002, 0.004], 500), np.tile([1.0, 2.0], 500), 3.0)
+# Ratios 0.0, -0.0 and twice 0.001 from different (b, u), with a total
+# budget just under 1.
+EVERYONE_PAYS_ALL = scaled_pool(
+    np.tile([0.0, -0.0, 0.001, 0.002], 500), np.tile([1.0, 1.0, 1.0, 2.0], 500), 1 - 1e-10
+)
+# 70,000 supporters, too many for 16-bit ranks.
+WIDE_RANK_POOL = scaled_pool(
+    np.tile([-0.0, 0.0, 1e-5, 2e-5, 3e-5], 14_000), np.tile([1.0, 2.0, 1.0, 2.0, 4.0], 14_000), 1.5
+)
+
+
 class TestExactRho:
     @given(rho_instances())
     @example((np.array([1.5]), np.array([3.0]), np.array([0])))
@@ -106,6 +151,32 @@ class TestExactRho:
         rho, payments = solve_and_charge(budgets, column, supporters)
         assert rho == expected_rho
         assert np.array_equal(payments, expected_payments)
+
+    @given(large_rho_pools())
+    @example(FIRST_SEGMENT_FITS)
+    @example(EVERYONE_PAYS_ALL)
+    @example(WIDE_RANK_POOL)
+    @settings(max_examples=150, deadline=None)
+    def test_large_tied_pools_match_voter_walk_bit_for_bit(self, pool):
+        b, u = pool
+        supporters = np.arange(b.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected_rho, expected_payments = reference_exact_rho(b, u, supporters)
+        rho, payments = solve_and_charge(b, u, supporters)
+        assert bits(rho) == bits(expected_rho)
+        assert np.array_equal(payments, expected_payments)
+
+    def test_pool_examples_take_the_paths_they_name(self):
+        b, u = FIRST_SEGMENT_FITS
+        order = (b / u).argsort(kind="stable")
+        assert (1.0 / u[order].sum()) * u[order[0]] <= b[order[0]]
+        b, u = EVERYONE_PAYS_ALL
+        assert 1.0 - PAY_EPS <= b.sum() < 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert _rho(b, u) == (b / u).max()
+        b, _ = WIDE_RANK_POOL
+        assert np.min_scalar_type(b.size) == np.uint32
 
     def test_rules_warn_nothing_when_rest_rounds_to_zero(self):
         # Candidate 0's utility sum 1 + 1e-17 rounds to 1, so the remaining
